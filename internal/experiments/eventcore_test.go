@@ -39,7 +39,8 @@ func fig4Fingerprint(t *testing.T, seed uint64) (result, spans []byte) {
 // event core under pinned seeds and asserts byte-identical metrics
 // snapshots and span trees — the determinism guarantee the tentpole
 // refactor must preserve: a central (time, sequence)-keyed queue leaves
-// no room for replay divergence.
+// no room for replay divergence. The first run of each seed must also
+// match the pinned goldens.
 func TestEventCoreDeterminism(t *testing.T) {
 	seeds := eventCoreSeeds
 	if testing.Short() {
@@ -48,6 +49,7 @@ func TestEventCoreDeterminism(t *testing.T) {
 	for _, seed := range seeds {
 		res1, spans1 := fig4Fingerprint(t, seed)
 		res2, spans2 := fig4Fingerprint(t, seed)
+		checkGolden(t, "fig4", seed, res1, spans1)
 		if string(res1) != string(res2) {
 			t.Errorf("seed=%d: metrics snapshots diverge across identical runs:\n%s\nvs\n%s", seed, res1, res2)
 		}

@@ -65,12 +65,18 @@ func checkOverload(t *testing.T, res *OverloadResult) {
 // on a fully allocated cluster must be absorbed by impact-ranked load
 // shedding — protected classes keep their SLA, sheds escalate lowest
 // impact first, and everything is readmitted once the pulse passes.
+// Every query is traced so result and span trees are checked against
+// the pinned goldens too.
 func TestOverloadProtection(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3} {
-		res, err := Overload(seed)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
+		var res *OverloadResult
+		traces, _ := withTracer(4096, func() {
+			var err error
+			if res, err = Overload(seed); err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+		})
+		checkGolden(t, "overload", seed, mustJSON(t, res), mustJSON(t, traces))
 		t.Logf("seed %d: nominal %.3f peak %.3f protected %.3f final %.3f shed=%v resheds=%d readmits=%d shedN=%d",
 			seed, res.NominalLatency, res.PeakLatency, res.ProtectedLatency, res.FinalLatency,
 			res.ShedOrder, res.Resheds, res.Readmits, res.ShedInteractions)

@@ -105,13 +105,15 @@ func fig3Fingerprint(t *testing.T, seed uint64) (result, spans []byte) {
 // require byte-identical result and span fingerprints. Closed-loop
 // sessions are gone in the replay — only the recorded submissions
 // remain — yet everything downstream (service phases, controller
-// actions, span trees) must not be able to tell the difference.
+// actions, span trees) must not be able to tell the difference. The
+// live run must also match the pinned goldens.
 func TestFig3RecordReplayIdentity(t *testing.T) {
 	for _, seed := range shortSeeds(t) {
 		rec := wltemporal.NewRecorder()
 		SetArrivalHook(rec.Observe)
 		liveRes, liveSpans := fig3Fingerprint(t, seed)
 		SetArrivalHook(nil)
+		checkGolden(t, "fig3", seed, liveRes, liveSpans)
 
 		tr := rec.Trace()
 		if len(tr.Arrivals) == 0 {

@@ -79,14 +79,17 @@ func findSpan(s *obs.Span, id obs.SpanID) *obs.Span {
 }
 
 // TestTracingChaosWellFormed runs the gray-failure chaos drill under
-// three seeds with every query traced: all span trees must validate
-// (resolvable parents, no orphans) and the retries the breaker provokes
-// must show up as sibling attempt spans under the query roots.
+// three seeds (one in short mode) with every query traced: all span
+// trees must validate (resolvable parents, no orphans), the retries the
+// breaker provokes must show up as sibling attempt spans under the
+// query roots, and result and spans must match the pinned goldens.
 func TestTracingChaosWellFormed(t *testing.T) {
+	seeds := chaosSeeds
 	if testing.Short() {
-		t.Skip("chaos tracing sweep is slow; run without -short")
+		seeds = seeds[:1]
 	}
-	for _, seed := range chaosSeeds {
+	for _, seed := range seeds {
+		var result []byte
 		traces, stats := withTracer(2048, func() {
 			r, err := ChaosGrayFailure(seed)
 			if err != nil {
@@ -95,7 +98,9 @@ func TestTracingChaosWellFormed(t *testing.T) {
 			if r.Retries == 0 {
 				t.Fatalf("seed=%d: gray failure provoked no retries", seed)
 			}
+			result = mustJSON(t, r)
 		})
+		checkGolden(t, "chaos-gray", seed, result, mustJSON(t, traces))
 		if stats.Sampled != stats.Started {
 			t.Errorf("seed=%d: rate 1.0 sampled %d of %d queries", seed, stats.Sampled, stats.Started)
 		}
