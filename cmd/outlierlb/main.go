@@ -165,11 +165,9 @@ func main() {
 	runOut := flag.String("run.out", "",
 		"flush a RUN_*.json flight recording (metric time series + sampled traces) to FILE on completion")
 	pprof := flag.Bool("obs.pprof", false, "mount net/http/pprof under /debug/pprof/ on -obs.addr")
-	eventCore := obscli.EventCoreFlag()
 	ctrlFlags := obscli.RegisterCtrlFlags()
 	wlFlags := obscli.RegisterWlFlags()
 	flag.Parse()
-	experiments.SetEventCore(*eventCore)
 	ctrlFlags.Apply()
 
 	if *record != "" {

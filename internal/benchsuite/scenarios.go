@@ -6,7 +6,6 @@ package benchsuite
 // the join key Compare uses across BENCH_*.json generations.
 
 import (
-	"runtime"
 	"time"
 
 	"outlierlb/internal/admission"
@@ -198,33 +197,6 @@ func Suite() []Scenario {
 			},
 		},
 		{
-			Name: "mrc-feed",
-			Kind: "micro",
-			Doc:  "hand one pooled 512-page batch to the background MRC worker, paced so the worker keeps up",
-			Micro: func() (func(int), func()) {
-				w := mrc.NewWorker(256)
-				i := 0
-				run := func(n int) {
-					for k := 0; k < n; k++ {
-						batch := mrc.GetBatch(512)
-						base := uint64(i * 512)
-						for p := uint64(0); p < 512; p++ {
-							batch = append(batch, (base+p)%1021)
-						}
-						for !w.Feed("bench", batch) {
-							runtime.Gosched()
-						}
-						i++
-						if i%8 == 0 {
-							w.Barrier()
-						}
-					}
-					w.Barrier()
-				}
-				return run, w.Close
-			},
-		},
-		{
 			Name: "tracing-disabled",
 			Kind: "micro",
 			Doc:  "per-query tracing cost with sampling off: the §4 near-zero disabled path (two branches, no work)",
@@ -301,7 +273,7 @@ func Suite() []Scenario {
 		{
 			Name: "ctrlnet-send-inline",
 			Kind: "micro",
-			Doc:  "one control-plane message over a perfect link: inline synchronous delivery, no event, no RNG draw — the per-interaction overhead the bit-identity argument pays",
+			Doc:  "one control-plane message over a perfect link: inline synchronous delivery, no event, no RNG draw — what every message over the controller's default plane pays",
 			Micro: func() (func(int), func()) {
 				s := sim.NewEngine(1)
 				n := ctrlnet.New(s, 1)

@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"outlierlb/internal/cluster"
+	"outlierlb/internal/ctrlnet"
 	"outlierlb/internal/engine"
 	"outlierlb/internal/metrics"
 	"outlierlb/internal/mrc"
@@ -229,9 +230,10 @@ type Controller struct {
 	mu        sync.Mutex
 	suspended bool
 
-	// cp, when non-nil, is the message-passing control plane: snapshot
-	// collection, heartbeats and every remote retuning action go over
-	// its ctrlnet network instead of direct calls.
+	// cp is the message-passing control plane: snapshot collection,
+	// heartbeats and every remote retuning action go over its ctrlnet
+	// network. NewController attaches one over a perfect network;
+	// AttachControlPlane swaps in a caller's network.
 	cp *ControlPlane
 
 	// observer receives the decision trace; observing caches whether it
@@ -245,12 +247,6 @@ type Controller struct {
 	// analysis without consuming a fresh interval.
 	lastSnaps   map[*engine.Engine]map[string]map[metrics.ClassID]metrics.Vector
 	lastSnapsAt float64
-
-	// engSnapAt tracks when each engine was last snapshotted, so the
-	// first snapshot after a metric blackout normalizes its accumulated
-	// counters over the true gap instead of one interval (which would
-	// inflate every rate and fabricate outliers).
-	engSnapAt map[*engine.Engine]float64
 
 	// guard, when non-nil, is the action watchdog consulted around every
 	// retuning action (see ActionGuard). policy, when non-nil, replaces
@@ -284,12 +280,15 @@ type frozenSnap struct {
 }
 
 // NewController wires a controller to a simulation and a cluster manager.
+// Its engine traffic goes over a control plane on a perfect network,
+// which delivers every message inline; call AttachControlPlane before
+// Start to use another network.
 func NewController(s *sim.Engine, mgr *cluster.Manager, cfg Config) (*Controller, error) {
 	if s == nil || mgr == nil {
 		return nil, fmt.Errorf("core: controller needs a simulation and a manager")
 	}
 	cfg.fill()
-	return &Controller{
+	c := &Controller{
 		sim:          s,
 		mgr:          mgr,
 		cfg:          cfg,
@@ -300,8 +299,10 @@ func NewController(s *sim.Engine, mgr *cluster.Manager, cfg Config) (*Controller
 		stableStreak: make(map[string]int),
 		reconfirm:    make(map[string]bool),
 		observer:     obs.Nop{},
-		engSnapAt:    make(map[*engine.Engine]float64),
-	}, nil
+	}
+	// A perfect network never draws from its RNG, so the seed is moot.
+	c.AttachControlPlane(ctrlnet.New(s, 0))
+	return c, nil
 }
 
 // SetObserver attaches an observer to the decision trace. Passing nil
@@ -390,11 +391,9 @@ func (c *Controller) Start() {
 	c.lastTick = c.sim.Now().Seconds()
 	// The control plane's agent rounds are scheduled first so that at
 	// every shared timestamp the round's event precedes the tick's (FIFO
-	// tie-break): reports over a perfect channel arrive exactly when the
-	// direct path would have sampled.
-	if c.cp != nil {
-		c.cp.start()
-	}
+	// tie-break): reports over a perfect channel arrive just before the
+	// tick that consumes them.
+	c.cp.start()
 	var tick func()
 	tick = func() {
 		c.Tick()
@@ -439,8 +438,8 @@ func (c *Controller) cooldownServer(name string) {
 }
 
 // Tick closes one measurement interval for every application and reacts
-// to violations. Exposed so tests and tools can drive the controller
-// manually instead of through Start.
+// to violations. It consumes the snapshot reports the engine agents push
+// each interval, so drive it through Start, which schedules both.
 func (c *Controller) Tick() {
 	// One consistent view of the debug-mutable knobs per tick: Suspend
 	// and SetClockOffset may be called from another goroutine (the debug
@@ -452,26 +451,19 @@ func (c *Controller) Tick() {
 	if c.guard != nil {
 		c.guard.BeginTick(now)
 	}
-	if c.cp != nil {
-		c.cp.tickBegin(now)
-	}
-	interval := now - c.lastTick
-	if interval <= 0 {
-		interval = c.cfg.Interval
-	}
+	c.cp.tickBegin(now)
 	// Clock-skew defence: a measured interval wildly off the configured
 	// cadence means the controller's clock jumped, not that time passed.
 	// Rates divided by a skewed window inflate or vanish — so the window
-	// is clamped to the configured length and the per-engine snapshot
-	// gaps are ignored this tick. The SLA tracker's interval close
-	// consumes whatever samples accumulated regardless of the window
-	// passed; only throughput normalization and the stamps use it.
+	// is clamped to the configured length and no server is sampled this
+	// tick. The SLA tracker's interval close consumes whatever samples
+	// accumulated regardless of the window passed; only throughput
+	// normalization and the stamps use it.
 	clockAnomaly := false
 	if c.cfg.ClockGuard {
 		raw := now - c.lastTick
 		if raw <= c.cfg.Interval/3 || raw >= 3*c.cfg.Interval {
 			clockAnomaly = true
-			interval = c.cfg.Interval
 			if c.observing {
 				c.observer.Event(obs.Event{
 					Time: now, Kind: obs.EventDegradedAnalysis,
@@ -484,30 +476,20 @@ func (c *Controller) Tick() {
 	}
 	intervalStart := c.lastTick
 	if clockAnomaly {
-		intervalStart = now - interval
+		intervalStart = now - c.cfg.Interval
 	}
 
-	// Snapshot every engine exactly once and sample system metrics. With
-	// an observer attached the stats flavour is used, so per-class latency
-	// distributions and pool state reach the registry; without one the
-	// plain vector path runs and nothing extra is allocated. Servers whose
-	// monitoring is blacked out contribute nothing this tick — no vmstat
-	// sample, no engine snapshots — and the controller degrades to
-	// diagnosing without them rather than mistaking absent data for idle
-	// machines.
+	// Consume the engine-pushed snapshot reports that arrived over the
+	// control channel: one per server, each holding every engine's
+	// snapshot and the server's utilization sample. Servers without a
+	// fresh report, or whose monitoring is blacked out, contribute
+	// nothing this tick, and the controller degrades to diagnosing
+	// without them rather than mistaking absent data for idle machines.
 	snaps := make(map[*engine.Engine]map[string]map[metrics.ClassID]metrics.Vector)
 	cpu := make(map[*server.Server]float64)
 	disk := make(map[*server.Server]float64)
 	blackout := make(map[*server.Server]bool)
-	if c.cp != nil {
-		// Message-passing mode: consume the engine-pushed snapshot
-		// reports that arrived over the control channel. Servers without
-		// a fresh report this interval are dark — handled like a metric
-		// blackout.
-		c.cp.collect(now, clockAnomaly, snaps, cpu, disk, blackout)
-	} else {
-		c.collectDirect(now, interval, clockAnomaly, snaps, cpu, disk, blackout)
-	}
+	c.cp.collect(now, clockAnomaly, snaps, cpu, disk, blackout)
 	c.lastSnaps, c.lastSnapsAt = snaps, now
 
 	var violated []*cluster.Scheduler
@@ -673,132 +655,17 @@ func (c *Controller) Tick() {
 			c.violStreak[app] = 0
 		}
 	}
-	if c.cp != nil {
-		c.cp.sample(now)
-	}
+	c.cp.sample(now)
 	c.lastTick = now
 }
 
-// collectDirect is the historical direct-call sampling loop: snapshot
-// every engine exactly once and sample system metrics in place.
-func (c *Controller) collectDirect(now, interval float64, clockAnomaly bool,
-	snaps map[*engine.Engine]map[string]map[metrics.ClassID]metrics.Vector,
-	cpu, disk map[*server.Server]float64, blackout map[*server.Server]bool) {
-	for _, srv := range c.mgr.Servers() {
-		// On a clock-anomaly tick every utilization window is measured
-		// against the jumped clock: sampling would dilute (or invert) the
-		// servers' observation windows, and a window mark left at a
-		// future timestamp would read as idle for intervals afterwards —
-		// exactly the fake-idle signal that feeds a false shrink. Treat
-		// the whole fleet as unmeasurable for this one tick and realign
-		// every sampling window to the new clock; the anomaly itself was
-		// already narrated.
-		if clockAnomaly {
-			srv.ResyncObservation(now)
-			blackout[srv] = true
-			continue
-		}
-		if srv.MetricsBlackedOut() {
-			blackout[srv] = true
-			if c.observing {
-				c.observer.Event(obs.Event{
-					Time: now, Kind: obs.EventDegradedAnalysis, Server: srv.Name(),
-					Cause: "metrics unreachable; no utilization sample or engine snapshot this interval",
-				})
-			}
-			continue
-		}
-		cpu[srv] = srv.CPUUtilization(now)
-		disk[srv] = srv.Disk().UtilizationWindow(now)
-		// Byzantine-metrics guard: a non-idle utilization sample that
-		// repeats bit-identically is a lying exporter, not a steady
-		// machine. Treat the server like a metric blackout — no sample,
-		// no engine snapshots, no shrink decisions off its fake numbers.
-		if c.cfg.FrozenMetricsAfter > 0 && c.frozenServerSample(srv, cpu[srv], disk[srv]) {
-			blackout[srv] = true
-			delete(cpu, srv)
-			delete(disk, srv)
-			if c.observing {
-				c.observer.Event(obs.Event{
-					Time: now, Kind: obs.EventDegradedAnalysis, Server: srv.Name(),
-					Cause: fmt.Sprintf("utilization sample frozen for >%d intervals; treating metrics as unreachable",
-						c.cfg.FrozenMetricsAfter),
-				})
-			}
-			continue
-		}
-		var engObs []obs.EngineObs
-		for _, eng := range c.mgr.EnginesOn(srv) {
-			// The first snapshot after a blackout covers every skipped
-			// interval; normalize over the true gap — unless the clock
-			// itself is suspect, in which case the gap arithmetic is too.
-			engInterval := interval
-			if last, ok := c.engSnapAt[eng]; !clockAnomaly && ok && now-last > 0 {
-				engInterval = now - last
-			}
-			c.engSnapAt[eng] = now
-			if !c.observing {
-				snap := c.analyzer(eng).Snapshot(engInterval)
-				if c.cfg.FrozenMetricsAfter > 0 && c.frozenEngineSnap(eng, snap) {
-					continue
-				}
-				snaps[eng] = snap
-				continue
-			}
-			grouped, flat := c.analyzer(eng).SnapshotStats(engInterval)
-			// The frozen-snapshot guard drops a bit-identically repeating
-			// engine report before it reaches the analyzer or the
-			// registry: a duplicated interval re-delivered is corruption,
-			// and diagnosing from it fabricates outliers.
-			if c.cfg.FrozenMetricsAfter > 0 && c.frozenEngineSnap(eng, grouped) {
-				c.observer.Event(obs.Event{
-					Time: now, Kind: obs.EventDegradedAnalysis, Server: srv.Name(),
-					Cause: fmt.Sprintf("engine %s snapshot frozen for >%d intervals; report discarded",
-						eng.Name(), c.cfg.FrozenMetricsAfter),
-				})
-				continue
-			}
-			snaps[eng] = grouped
-			for id, st := range flat {
-				if st.Latency.Count == 0 {
-					continue
-				}
-				c.observer.ClassLatency(obs.ClassLatencyObs{
-					Server: srv.Name(), App: id.App, Class: id.Class,
-					Count: st.Latency.Count, Mean: st.Latency.Mean,
-					P50: st.Latency.P50, P95: st.Latency.P95, P99: st.Latency.P99,
-					Max: st.Latency.Max, Hist: st.Hist,
-				})
-			}
-			pool := eng.Pool()
-			mrcStats := eng.MRCStats()
-			engObs = append(engObs, obs.EngineObs{
-				Engine:     eng.Name(),
-				HitRatio:   pool.TotalStats().HitRatio(),
-				Resident:   pool.Resident(),
-				Capacity:   pool.Capacity(),
-				QuotaKeys:  len(pool.Quotas()),
-				MRCFed:     mrcStats.Fed,
-				MRCDropped: mrcStats.Dropped,
-			})
-		}
-		if c.observing {
-			c.observer.ServerSampled(obs.ServerObs{
-				Time: now, Server: srv.Name(), CPU: cpu[srv], Disk: disk[srv], Engines: engObs,
-			})
-		}
-	}
-}
-
-// invokeRemote runs one engine-side retuning mutation: over the control
-// plane's network when one is attached, inline otherwise (or when the
-// target server is unknown). apply is the mutation, finish the
-// controller-side bookkeeping once the applied ack arrives — over a
-// perfect channel or the direct path both run synchronously, in the
-// historical order.
+// invokeRemote runs one engine-side retuning mutation over the control
+// plane's network, or inline when no target server is named. apply is
+// the mutation, finish the controller-side bookkeeping once the applied
+// ack arrives — over a perfect channel both run synchronously.
 func (c *Controller) invokeRemote(now float64, srv, app, label string,
 	apply func() any, finish func(at float64, res any)) (any, invokeOutcome) {
-	if c.cp == nil || srv == "" {
+	if srv == "" {
 		res := apply()
 		finish(now, res)
 		return res, invokeInline

@@ -1,9 +1,8 @@
 package core
 
-// This file is the message-passing control plane: when a ControlPlane is
-// attached, every controller↔engine interaction — snapshot collection,
-// retuning actions, liveness — travels over an internal/ctrlnet Network
-// instead of direct method calls, so partitions, loss, duplication and
+// This file is the message-passing control plane: every controller↔engine
+// interaction — snapshot collection, retuning actions, liveness — travels
+// over an internal/ctrlnet Network, so partitions, loss, duplication and
 // delay become first-class faults the controller must survive.
 //
 // The protocol has three strands:
@@ -30,13 +29,11 @@ package core
 //     fencing epoch, so in-flight actions stamped before the declaration
 //     can never be applied after the controller's view has moved on.
 //
-// Bit-identity: over a perfect channel ctrlnet delivers inline and
-// synchronously, the agent round fires immediately before the tick at
-// the same virtual time, and every sample/drain/apply call runs in the
-// same order with the same arguments as the direct path — so a
-// perfect-channel run is byte-identical to a direct-call run (asserted
-// by TestCtrlNetOffBitIdentical), the same transition-flag discipline as
-// -sim.eventcore.
+// Over a perfect channel — the default every NewController attaches —
+// ctrlnet delivers inline and synchronously, and the agent round fires
+// immediately before the tick at the same virtual time: no event is
+// scheduled and no random draw is made, so the channel itself leaves no
+// trace in a run's results.
 
 import (
 	"fmt"
@@ -56,48 +53,27 @@ import (
 // engine agents register under their server's name.
 const CtrlEndpoint = "controller"
 
-// CtrlConfig tunes the message-passing control plane.
-type CtrlConfig struct {
-	// AckTimeout is the initial wait for an action ack before the first
-	// retransmission, in virtual seconds. Default 1.
-	AckTimeout float64
-	// MaxBackoff caps the exponential retransmission backoff. Default 8.
-	MaxBackoff float64
-	// MaxRetries bounds retransmissions per action before the controller
-	// abandons it. Default 6.
-	MaxRetries int
-	// SuspectAfter is the consecutive missed heartbeat acks that move a
-	// server from reachable to suspect. Default 2.
-	SuspectAfter int
-	// UnreachableAfter is the consecutive missed acks that declare a
-	// server unreachable (and advance the fencing epoch). Default 3.
-	UnreachableAfter int
-	// LeaseFor is how long one heartbeat leases an engine to the
-	// controller, in virtual seconds; an agent whose lease expires falls
-	// back to local autonomy. Default 3× the controller interval.
-	LeaseFor float64
-}
-
-func (c *CtrlConfig) fill(interval float64) {
-	if c.AckTimeout <= 0 {
-		c.AckTimeout = 1
-	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = 8
-	}
-	if c.MaxRetries <= 0 {
-		c.MaxRetries = 6
-	}
-	if c.SuspectAfter <= 0 {
-		c.SuspectAfter = 2
-	}
-	if c.UnreachableAfter <= c.SuspectAfter {
-		c.UnreachableAfter = c.SuspectAfter + 1
-	}
-	if c.LeaseFor <= 0 {
-		c.LeaseFor = 3 * interval
-	}
-}
+// Control-plane protocol parameters.
+const (
+	// ctrlAckTimeout is the initial wait for an action ack before the
+	// first retransmission, in virtual seconds.
+	ctrlAckTimeout = 1.0
+	// ctrlMaxBackoff caps the exponential retransmission backoff.
+	ctrlMaxBackoff = 8.0
+	// ctrlMaxRetries bounds retransmissions per action before the
+	// controller abandons it.
+	ctrlMaxRetries = 6
+	// ctrlSuspectAfter is the consecutive missed heartbeat acks that move
+	// a server from reachable to suspect.
+	ctrlSuspectAfter = 2
+	// ctrlUnreachableAfter is the consecutive missed acks that declare a
+	// server unreachable (and advance the fencing epoch).
+	ctrlUnreachableAfter = 3
+	// ctrlLeaseIntervals is how many controller intervals one heartbeat
+	// leases an engine for; an agent whose lease expires falls back to
+	// local autonomy.
+	ctrlLeaseIntervals = 3
+)
 
 // fdVerdict is the failure detector's view of one server.
 type fdVerdict int
@@ -223,8 +199,8 @@ type pendingAction struct {
 type invokeOutcome int
 
 const (
-	// invokeInline: the round trip completed synchronously (direct mode
-	// or a perfect channel) and the result is authoritative.
+	// invokeInline: the round trip completed synchronously (a perfect
+	// channel, or no target server) and the result is authoritative.
 	invokeInline invokeOutcome = iota
 	// invokeInFlight: the request is traveling; the ack (and finish
 	// callback) will arrive later, if at all.
@@ -234,12 +210,11 @@ const (
 )
 
 // ControlPlane routes a Controller's engine interactions over a ctrlnet
-// Network. Construct with Controller.AttachControlPlane.
+// Network. NewController attaches one; AttachControlPlane replaces it.
 type ControlPlane struct {
 	sim *sim.Engine
 	net *ctrlnet.Network
 	ctl *Controller
-	cfg CtrlConfig
 	tr  *obs.Tracer
 
 	agents   map[string]*ctrlAgent
@@ -265,16 +240,15 @@ type ControlPlane struct {
 }
 
 // AttachControlPlane routes this controller's snapshot collection,
-// heartbeats and retuning actions over net. Must be called before Start;
-// the zero CtrlConfig takes every default. The returned plane is the
-// handle for fault injection helpers and protocol statistics.
-func (c *Controller) AttachControlPlane(net *ctrlnet.Network, cfg CtrlConfig) *ControlPlane {
-	cfg.fill(c.cfg.Interval)
+// heartbeats and retuning actions over net, replacing the plane
+// NewController attached. Must be called before Start. The returned
+// plane is the handle for fault injection helpers and protocol
+// statistics.
+func (c *Controller) AttachControlPlane(net *ctrlnet.Network) *ControlPlane {
 	cp := &ControlPlane{
 		sim:      c.sim,
 		net:      net,
 		ctl:      c,
-		cfg:      cfg,
 		agents:   make(map[string]*ctrlAgent),
 		reports:  make(map[*server.Server]*serverReport),
 		consumed: make(map[*server.Server]uint64),
@@ -290,8 +264,7 @@ func (c *Controller) AttachControlPlane(net *ctrlnet.Network, cfg CtrlConfig) *C
 
 // SetTracer attaches the span tracer used for ctrl-action marker spans
 // on non-inline action deliveries. Perfect-channel runs complete every
-// delivery inline and therefore never create these spans, keeping their
-// trace output identical to the direct path.
+// delivery inline and therefore never create these spans.
 func (cp *ControlPlane) SetTracer(t *obs.Tracer) { cp.tr = t }
 
 // Network exposes the underlying control network (fault injection).
@@ -344,8 +317,7 @@ func (cp *ControlPlane) Invariants() CtrlInvariants {
 // start schedules the per-interval agent rounds. Called from
 // Controller.Start BEFORE the tick chain is scheduled, so each round's
 // event precedes its tick in FIFO order at the same timestamp — reports
-// over a perfect channel land exactly when the direct path would have
-// sampled.
+// over a perfect channel land just before the tick that consumes them.
 func (cp *ControlPlane) start() {
 	if cp.started {
 		return
@@ -390,7 +362,7 @@ func (cp *ControlPlane) ensureAgentFor(srv *server.Server) *ctrlAgent {
 			name: srv.Name(),
 			// A fresh agent starts leased: it was just provisioned by the
 			// controller, which is as alive as evidence gets.
-			leaseUntil:   cp.sim.Now().Seconds() + cp.cfg.LeaseFor,
+			leaseUntil:   cp.sim.Now().Seconds() + cp.leaseFor(),
 			lastDrain:    make(map[*engine.Engine]float64),
 			applied:      make(map[uint64]actionAck),
 			applications: make(map[uint64]int),
@@ -400,6 +372,10 @@ func (cp *ControlPlane) ensureAgentFor(srv *server.Server) *ctrlAgent {
 	}
 	return a
 }
+
+// leaseFor is how long one heartbeat leases an engine, in virtual
+// seconds.
+func (cp *ControlPlane) leaseFor() float64 { return ctrlLeaseIntervals * cp.ctl.cfg.Interval }
 
 func (cp *ControlPlane) agentByName(name string) *ctrlAgent {
 	if a := cp.agents[name]; a != nil {
@@ -433,14 +409,14 @@ func (cp *ControlPlane) tickBegin(now float64) {
 		if cp.hbSeq[name] > cp.acked[name] {
 			st.missed++
 			switch {
-			case st.state == fdReachable && st.missed >= cp.cfg.SuspectAfter:
+			case st.state == fdReachable && st.missed >= ctrlSuspectAfter:
 				st.state = fdSuspect
 				cp.emit(obs.Event{
 					Time: now, Kind: obs.EventCtrlSuspect, Server: name,
 					Cause:  fmt.Sprintf("%d consecutive heartbeat acks missed", st.missed),
 					Fields: map[string]float64{"missed_acks": float64(st.missed)},
 				})
-			case st.state == fdSuspect && st.missed >= cp.cfg.UnreachableAfter:
+			case st.state == fdSuspect && st.missed >= ctrlUnreachableAfter:
 				st.state = fdUnreachable
 				cp.epoch++
 				cp.emit(obs.Event{
@@ -548,9 +524,9 @@ func (cp *ControlPlane) dispatch(p *pendingAction) {
 	if p.done {
 		return // perfect channel: the ack round-tripped inline
 	}
-	timeout := cp.cfg.AckTimeout * math.Pow(2, float64(p.attempts))
-	if timeout > cp.cfg.MaxBackoff {
-		timeout = cp.cfg.MaxBackoff
+	timeout := ctrlAckTimeout * math.Pow(2, float64(p.attempts))
+	if timeout > ctrlMaxBackoff {
+		timeout = ctrlMaxBackoff
 	}
 	p.timer = cp.sim.ScheduleKind(simcore.KindControlAction, timeout, func() { cp.ackTimeout(p) })
 }
@@ -560,7 +536,7 @@ func (cp *ControlPlane) ackTimeout(p *pendingAction) {
 		return
 	}
 	p.attempts++
-	if p.attempts > cp.cfg.MaxRetries {
+	if p.attempts > ctrlMaxRetries {
 		cp.abandon(p, fmt.Sprintf("no ack after %d attempts", p.attempts))
 		return
 	}
@@ -568,7 +544,7 @@ func (cp *ControlPlane) ackTimeout(p *pendingAction) {
 	now := cp.sim.Now().Seconds()
 	cp.emit(obs.Event{
 		Time: now, Kind: obs.EventCtrlRetry, Server: p.srv, App: p.app,
-		Cause:  fmt.Sprintf("%s: ack timeout, retry %d/%d", p.label, p.attempts, cp.cfg.MaxRetries),
+		Cause:  fmt.Sprintf("%s: ack timeout, retry %d/%d", p.label, p.attempts, ctrlMaxRetries),
 		Fields: map[string]float64{"attempt": float64(p.attempts)},
 	})
 	if p.span != nil {
@@ -644,24 +620,24 @@ func (cp *ControlPlane) onActionAck(m actionAck) {
 // capturing the apply closure twice.
 func (p *pendingAction) applyFn() any { return p.apply() }
 
-// collect consumes the freshest report per server in place of the direct
-// sampling loop. Servers without a fresh report are dark this tick —
-// blacked out, narrated, and excluded from diagnosis, exactly like a
-// metric blackout.
+// collect consumes the freshest report per server. Servers without a
+// fresh report are dark this tick — blacked out, narrated, and excluded
+// from diagnosis, exactly like a metric blackout.
 func (cp *ControlPlane) collect(now float64, clockAnomaly bool,
 	snaps map[*engine.Engine]map[string]map[metrics.ClassID]metrics.Vector,
 	cpu, disk map[*server.Server]float64, blackout map[*server.Server]bool) {
 	c := cp.ctl
 	for _, srv := range c.mgr.Servers() {
 		if clockAnomaly {
-			// Same defence as the direct path: with the controller's clock
-			// suspect, take nothing this tick. But realign the sampling
-			// windows to the TRUE clock, not the skewed controller clock —
-			// the agents keep draining them on virtual time, and a window
-			// mark left at a future timestamp would read as idle for
-			// intervals afterwards, the exact fake-idle signal that feeds a
-			// false shrink. The agents' reports for this interval are
-			// discarded rather than trusted.
+			// With the controller's clock suspect, every utilization
+			// window is measured against the jumped clock: take nothing
+			// this tick and treat the whole fleet as unmeasurable. But
+			// realign the sampling windows to the TRUE clock, not the
+			// skewed controller clock — the agents keep draining them on
+			// virtual time, and a window mark left at a future timestamp
+			// would read as idle for intervals afterwards, the exact
+			// fake-idle signal that feeds a false shrink. The agents'
+			// reports for this interval are discarded rather than trusted.
 			srv.ResyncObservation(cp.sim.Now().Seconds())
 			blackout[srv] = true
 			if rep := cp.reports[srv]; rep != nil {
@@ -804,7 +780,7 @@ func (a *ctrlAgent) onHeartbeat(m hbMsg) {
 	if m.epoch > a.lastEpoch {
 		a.lastEpoch = m.epoch
 	}
-	a.leaseUntil = now + a.cp.cfg.LeaseFor
+	a.leaseUntil = now + a.cp.leaseFor()
 	if a.autonomous {
 		a.autonomous = false
 		a.cp.emit(obs.Event{
@@ -860,8 +836,7 @@ func (a *ctrlAgent) onAction(req actionReq) {
 // round is one agent reporting cycle: check the lease, drain this
 // server's engines on the true clock, push the report. During a metric
 // blackout the agent reports the blackout itself and drains nothing, so
-// the counters keep accumulating for gap normalization on recovery —
-// the same discipline as the direct path.
+// the counters keep accumulating for gap normalization on recovery.
 func (a *ctrlAgent) round(now float64) {
 	a.checkLease(now)
 	a.seq++
@@ -908,15 +883,12 @@ func (a *ctrlAgent) round(now float64) {
 			})
 		}
 		pool := eng.Pool()
-		mrcStats := eng.MRCStats()
 		er.engObs = obs.EngineObs{
-			Engine:     eng.Name(),
-			HitRatio:   pool.TotalStats().HitRatio(),
-			Resident:   pool.Resident(),
-			Capacity:   pool.Capacity(),
-			QuotaKeys:  len(pool.Quotas()),
-			MRCFed:     mrcStats.Fed,
-			MRCDropped: mrcStats.Dropped,
+			Engine:    eng.Name(),
+			HitRatio:  pool.TotalStats().HitRatio(),
+			Resident:  pool.Resident(),
+			Capacity:  pool.Capacity(),
+			QuotaKeys: len(pool.Quotas()),
 		}
 		rep.engines = append(rep.engines, er)
 	}

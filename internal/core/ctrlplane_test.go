@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"outlierlb/internal/ctrlnet"
+	"outlierlb/internal/simcore"
+	"outlierlb/internal/workload"
 )
 
 // newCtrlTestbed is newTestbed plus an attached message-passing control
@@ -12,7 +14,7 @@ func newCtrlTestbed(t testing.TB, servers int) (*testbed, *ControlPlane, *ctrlne
 	t.Helper()
 	tb := newTestbed(t, servers, 2000, Config{Interval: 10})
 	net := ctrlnet.New(tb.sim, 7)
-	cp := tb.ctl.AttachControlPlane(net, CtrlConfig{})
+	cp := tb.ctl.AttachControlPlane(net)
 	return tb, cp, net
 }
 
@@ -209,5 +211,39 @@ func TestCtrlFailureDetectorLifecycle(t *testing.T) {
 	}
 	if a.lastEpoch != 1 {
 		t.Fatalf("agent epoch = %d after heal, want 1 (learned from the heartbeat)", a.lastEpoch)
+	}
+}
+
+// TestDefaultPlaneCarriesTraffic covers the plane NewController attaches
+// on its own: with no network supplied by the caller, snapshot reports,
+// heartbeats and acks still travel over a network, a perfect one, which
+// delivers every message inline and schedules no KindMessage event.
+func TestDefaultPlaneCarriesTraffic(t *testing.T) {
+	tb := newTestbed(t, 1, 2000, Config{Interval: 10})
+	app := cpuApp("calm", 2, 0.005)
+	sched := startApp(t, tb, app)
+	em, err := workload.NewEmulator(tb.sim, sched, workload.Config{
+		Mix: mixFor(app), ThinkTime: 0.5, Load: workload.Constant(5),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb.ctl.Start()
+	em.Start()
+	tb.sim.RunUntil(60)
+	em.Stop()
+
+	ns := tb.ctl.cp.Network().Stats()
+	if ns.Sent == 0 {
+		t.Fatal("the default control plane sent no messages")
+	}
+	if ns.InlineDelivered != ns.Sent {
+		t.Errorf("default plane delivered %d of %d messages inline, want all", ns.InlineDelivered, ns.Sent)
+	}
+	if n := tb.sim.QueueStats().PerKind[simcore.KindMessage]; n != 0 {
+		t.Errorf("default plane scheduled %d KindMessage events, want 0", n)
+	}
+	if _, ok := tb.ctl.Signatures().Lookup("calm", "srv1"); !ok {
+		t.Error("no signature recorded: snapshot reports never reached the controller")
 	}
 }

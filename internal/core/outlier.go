@@ -5,12 +5,12 @@
 // resource manager.
 //
 // Concurrency: the Controller ticks on the simulation goroutine
-// (internal/sim) and owns everything it touches. When engines run the
-// concurrent statistics pipeline (internal/engine's StatWorkers), the
-// engine snapshot taken at each tick barriers that pipeline first, so
-// the controller always reasons over a complete interval; the only
-// state it reads that other goroutines write is surfaced through
-// internal/obs, whose Recorder is concurrent-safe.
+// (internal/sim) and owns everything it touches; its traffic with the
+// engines goes over a ControlPlane whose messages are delivered on that
+// same goroutine. The only other goroutine that reaches it is the obs
+// debug server, through the mutex-guarded Suspend/SetClockOffset knobs;
+// everything it reports goes out through internal/obs, whose Recorder
+// is concurrent-safe.
 package core
 
 import (

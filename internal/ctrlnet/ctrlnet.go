@@ -12,11 +12,10 @@
 // occasionally adds a large extra delay so a later message can overtake
 // an earlier one. A link with the zero Config is PERFECT: Send delivers
 // inline, synchronously, within the caller's stack — no event is
-// scheduled and no random draw is made. That inline fast path is what
-// makes a perfect-channel control plane bit-identical to the historical
-// direct-call controller (the same transition-flag discipline as the
-// engines' -sim.eventcore queues, DESIGN.md §10–§11); an imperfect link
-// schedules a KindMessage event per delivery instead.
+// scheduled and no random draw is made, so a perfect-channel control
+// plane — the default every controller starts with — leaves no trace in
+// the event queue or the random streams (DESIGN.md §11); an imperfect
+// link schedules a KindMessage event per delivery instead.
 //
 // # Partitions
 //
@@ -31,8 +30,8 @@
 //
 // All randomness comes from one seeded RNG owned by the Network,
 // deliberately NOT forked from the simulation engine's stream: building
-// a Network (or not) must not perturb workload randomness, so perfect-
-// channel runs stay byte-identical to direct-call runs. Like everything
+// a Network must not perturb workload randomness, so a run's results do
+// not depend on how many networks were built. Like everything
 // in virtual time the Network is single-owner — calls happen on the
 // simulation goroutine only.
 package ctrlnet

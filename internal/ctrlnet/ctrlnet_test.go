@@ -222,8 +222,8 @@ func TestDropRateIsPlausible(t *testing.T) {
 
 // TestReplyFromHandlerInline: an endpoint replying from inside its
 // handler over a perfect link completes the whole request/ack round trip
-// within the original Send call — the property the control plane's
-// bit-identity rests on.
+// within the original Send call — the property that lets the default
+// control plane complete every action synchronously.
 func TestReplyFromHandlerInline(t *testing.T) {
 	s := sim.NewEngine(1)
 	n := New(s, 5)

@@ -52,8 +52,7 @@ type ChaosResult struct {
 	// TargetHealthy reports whether the attacked replica ended the run
 	// back in the healthy state with the fault cleared.
 	TargetHealthy bool
-	// Ctrl holds the control plane's protocol-safety counters (zero-
-	// valued when the run used the direct-call path); CtrlSent /
+	// Ctrl holds the control plane's protocol-safety counters; CtrlSent /
 	// CtrlDropped / CtrlDuplicated are the channel's message totals.
 	Ctrl                                  core.CtrlInvariants
 	CtrlSent, CtrlDropped, CtrlDuplicated uint64
@@ -141,7 +140,6 @@ func runChaosOpts(seed uint64, faultAt, clearAt, endAt float64, opts chaosOpts) 
 		opts.mutate(&cfg)
 	}
 	tb := newTestbed(seed, 3, 2*PoolPages, cfg)
-	defer tb.close()
 	rec := obs.NewRecorder(1 << 14)
 	observer := obs.Tee(rec, obsHooks.observer)
 	tb.ctl.SetObserver(observer)

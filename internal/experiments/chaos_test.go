@@ -112,25 +112,23 @@ func TestChaosMetricBlackout(t *testing.T) {
 }
 
 // TestChaosDeterminism reruns one scenario under the same seed and
-// requires identical outcomes: the fault injector rides the simulation's
-// seeded RNG, so a chaos run is exactly reproducible.
+// requires byte-identical results as JSON — counters, latencies, the
+// full event narration and the scorecard: the fault injector rides the
+// simulation's seeded RNG, so a chaos run is exactly reproducible.
 func TestChaosDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping determinism rerun in short mode")
 	}
-	a, err := ChaosFlapping(chaosSeeds[0])
-	if err != nil {
-		t.Fatal(err)
+	var runs [2][]byte
+	for i := range runs {
+		r, err := ChaosFlapping(chaosSeeds[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs[i] = mustJSON(t, r)
 	}
-	b, err := ChaosFlapping(chaosSeeds[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.ClientErrors != b.ClientErrors || a.BreakerTrips != b.BreakerTrips ||
-		a.Recoveries != b.Recoveries || a.Retries != b.Retries ||
-		len(a.Events) != len(b.Events) ||
-		a.FaultLatency != b.FaultLatency || a.FinalLatency != b.FinalLatency {
-		t.Errorf("same seed, different runs:\n a=%+v\n b=%+v", a, b)
+	if string(runs[0]) != string(runs[1]) {
+		t.Errorf("same seed, different runs:\n%s\nvs\n%s", runs[0], runs[1])
 	}
 }
 

@@ -11,24 +11,12 @@ package experiments
 // the cluster recovers fully after the channel heals.
 
 import (
-	"fmt"
-
 	"outlierlb/internal/cluster"
 	"outlierlb/internal/core"
 	"outlierlb/internal/ctrlnet"
 	"outlierlb/internal/faults"
 	"outlierlb/internal/workload"
 )
-
-// ctrlChaosGuard rejects a control-channel scenario when the control
-// plane has been switched off (-ctrl.net=false): there is no channel to
-// attack.
-func ctrlChaosGuard() error {
-	if !ctrlHook.on {
-		return fmt.Errorf("control-channel chaos needs the message-passing control plane (-ctrl.net)")
-	}
-	return nil
-}
 
 // ChaosCtrlPartition isolates the controller endpoint in both
 // directions for 150 s: heartbeats, snapshot reports and actions all
@@ -37,9 +25,6 @@ func ctrlChaosGuard() error {
 // expire into local autonomy — and after the heal, heartbeats renew the
 // leases, the detector recovers, and reporting resumes.
 func ChaosCtrlPartition(seed uint64) (*ChaosResult, error) {
-	if err := ctrlChaosGuard(); err != nil {
-		return nil, err
-	}
 	const faultAt, clearAt, endAt = 200.0, 350.0, 500.0
 	return runChaosOpts(seed, faultAt, clearAt, endAt, chaosOpts{
 		name: "ctrl-partition",
@@ -56,9 +41,6 @@ func ChaosCtrlPartition(seed uint64) (*ChaosResult, error) {
 // declare the server unreachable from silence alone and suspend its
 // diagnosis, while the engine, fully leased, holds steady.
 func ChaosCtrlAsymPartition(seed uint64) (*ChaosResult, error) {
-	if err := ctrlChaosGuard(); err != nil {
-		return nil, err
-	}
 	const faultAt, clearAt, endAt = 200.0, 350.0, 500.0
 	return runChaosOpts(seed, faultAt, clearAt, endAt, chaosOpts{
 		name: "ctrl-asym-partition",
@@ -77,9 +59,6 @@ func ChaosCtrlAsymPartition(seed uint64) (*ChaosResult, error) {
 // deliveries are suppressed by the agents' stored-ack cache, and
 // delayed duplicates from a deposed epoch are fenced off.
 func ChaosCtrlLossy(seed uint64) (*ChaosResult, error) {
-	if err := ctrlChaosGuard(); err != nil {
-		return nil, err
-	}
 	const faultAt, clearAt, endAt = 200.0, 400.0, 600.0
 	return runChaosOpts(seed, faultAt, clearAt, endAt, chaosOpts{
 		name:      "ctrl-lossy",
@@ -101,9 +80,6 @@ func ChaosCtrlLossy(seed uint64) (*ChaosResult, error) {
 // diagnose from old data, while heartbeat acks (delayed but within the
 // detector's patience) keep the failure detector at reachable.
 func ChaosCtrlDelayedSnapshots(seed uint64) (*ChaosResult, error) {
-	if err := ctrlChaosGuard(); err != nil {
-		return nil, err
-	}
 	const faultAt, clearAt, endAt = 200.0, 350.0, 500.0
 	return runChaosOpts(seed, faultAt, clearAt, endAt, chaosOpts{
 		name: "ctrl-delayed-snapshots",

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"testing"
 
 	"outlierlb/internal/cluster"
@@ -21,18 +20,8 @@ var eventCoreSeeds = []uint64{1, 2, 3}
 // snapshots) and of every retained span tree.
 func fig4Fingerprint(t *testing.T, seed uint64) (result, spans []byte) {
 	t.Helper()
-	traces, _ := withTracer(4096, func() {
-		r := Figure4(seed)
-		var err error
-		if result, err = json.Marshal(r); err != nil {
-			t.Fatal(err)
-		}
-	})
-	spans, err := json.Marshal(traces)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return result, spans
+	traces, _ := withTracer(4096, func() { result = mustJSON(t, Figure4(seed)) })
+	return result, mustJSON(t, traces)
 }
 
 // TestEventCoreDeterminism runs the same scenario twice through the
@@ -59,59 +48,9 @@ func TestEventCoreDeterminism(t *testing.T) {
 	}
 }
 
-// TestEventCoreOffBitIdentical proves the transition flag is purely an
-// implementation switch: the same scenario with the event core disabled
-// (inline phase accounting, the pre-refactor path) must produce
-// byte-identical metrics snapshots and span trees. This is the PR 3
-// pattern — assert the two execution modes agree exactly, not
-// approximately.
-func TestEventCoreOffBitIdentical(t *testing.T) {
-	seeds := eventCoreSeeds
-	if testing.Short() {
-		seeds = seeds[:1]
-	}
-	for _, seed := range seeds {
-		onRes, onSpans := fig4Fingerprint(t, seed)
-
-		SetEventCore(false)
-		offRes, offSpans := fig4Fingerprint(t, seed)
-		SetEventCore(true)
-
-		if string(onRes) != string(offRes) {
-			t.Errorf("seed=%d: event core on vs off diverges:\n%s\nvs\n%s", seed, onRes, offRes)
-		}
-		if string(onSpans) != string(offSpans) {
-			t.Errorf("seed=%d: span trees diverge between event core on and off", seed)
-		}
-	}
-}
-
-// TestEventCoreFigure3Identical extends the on/off identity to the
-// full provisioning figure: the golden the figure tests pin must be
-// reachable through both paths, including replica allocation counts.
-func TestEventCoreFigure3Identical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("double figure-3 run is slow; run without -short")
-	}
-	on := Figure3(1)
-	SetEventCore(false)
-	off := Figure3(1)
-	SetEventCore(true)
-	if len(on.Latency) != len(off.Latency) {
-		t.Fatalf("series length diverges: %d vs %d", len(on.Latency), len(off.Latency))
-	}
-	for i := range on.Latency {
-		if on.Latency[i] != off.Latency[i] || on.Machines[i] != off.Machines[i] || on.Throughput[i] != off.Throughput[i] {
-			t.Fatalf("t=%g: event core changed the run: latency %v vs %v, machines %d vs %d",
-				on.Times[i], on.Latency[i], off.Latency[i], on.Machines[i], off.Machines[i])
-		}
-	}
-}
-
-// TestEventCorePhaseTraffic checks the new path actually runs: with the
-// event core on (the default), the engines commit every service phase
-// through their event queues, and the queue statistics report
-// phase-complete traffic and nothing else.
+// TestEventCorePhaseTraffic checks the engines commit every service
+// phase through their event queues: the queue statistics report
+// phase-complete traffic and nothing else, fully drained.
 func TestEventCorePhaseTraffic(t *testing.T) {
 	var mgrs []*cluster.Manager
 	SetObsHooks(nil, func(ctl *core.Controller, mgr *cluster.Manager, s *sim.Engine) {
@@ -134,7 +73,7 @@ func TestEventCorePhaseTraffic(t *testing.T) {
 		}
 	}
 	if total.PerKind[simcore.KindPhaseComplete] == 0 {
-		t.Fatal("event core on, but no phase-complete events flowed through the engines' queues")
+		t.Fatal("no phase-complete events flowed through the engines' queues")
 	}
 	for k, n := range total.PerKind {
 		if simcore.Kind(k) != simcore.KindPhaseComplete && n != 0 {

@@ -5,11 +5,10 @@
 // from one implementation of each scenario.
 //
 // Concurrency: scenario functions are sequential and must not run
-// concurrently with each other — the SetObsHooks and SetStatWorkers
-// hooks are process-global precisely because scenarios take only a
-// seed. Engines inside a scenario may run statistics goroutines when
-// SetStatWorkers is non-zero; every scenario defers a testbed close that
-// stops them.
+// concurrently with each other — the Set* hooks (SetObsHooks, SetTracer,
+// SetCtrlLink, SetArrivalHook, SetReplay) are process-global precisely
+// because scenarios take only a seed. A scenario itself runs entirely
+// on the calling goroutine.
 package experiments
 
 import (
@@ -59,8 +58,8 @@ type testbed struct {
 	sim *sim.Engine
 	mgr *cluster.Manager
 	ctl *core.Controller
-	// net and cp are non-nil when the message-passing control plane is
-	// on (the default): the control channel and its protocol endpoint.
+	// net and cp are the control channel between the controller and the
+	// engines, and its protocol endpoint.
 	net *ctrlnet.Network
 	cp  *core.ControlPlane
 }
@@ -94,53 +93,14 @@ var tracer *obs.Tracer
 // clear.
 func SetTracer(t *obs.Tracer) { tracer = t }
 
-// statWorkers is the engine statistics parallelism applied to testbeds
-// built after SetStatWorkers. Like the observability hooks it is
-// process-global because the scenario functions take only a seed.
-var statWorkers int
-
-// SetStatWorkers makes every subsequently built testbed provision its
-// engines with n concurrent statistics executors (see
-// engine.Config.StatWorkers). The default 0 keeps the synchronous,
-// bit-deterministic pipeline the golden tests assert against; non-zero
-// values preserve per-class event order but may perturb float summation
-// order in snapshots.
-func SetStatWorkers(n int) { statWorkers = n }
-
-// eventCore selects the engines' service-phase completion path for
-// subsequently built testbeds: true (default, the -sim.eventcore
-// toggle) commits CPU/disk/lock-wait completions through each engine's
-// simcore event queue; false restores the pre-event-core inline
-// accounting. Both paths are bit-identical (eventcore_test.go asserts
-// it), so this is a transition escape hatch, not a behavior switch.
-var eventCore = true
-
-// SetEventCore makes every subsequently built testbed provision its
-// engines with the discrete-event service-phase path on (the default)
-// or off (engine.Config.InlinePhases). Process-global for the same
-// reason as the other hooks: scenario functions take only a seed.
-func SetEventCore(on bool) { eventCore = on }
-
-// ctrlHook configures the message-passing control plane for
-// subsequently built testbeds. On by default with a perfect channel —
-// bit-identical to the direct-call path (ctrlnet_test.go asserts it),
-// the same transition-flag discipline as -sim.eventcore. The link
-// config lets tools and chaos scenarios degrade every link.
-var ctrlHook = struct {
-	on   bool
-	link ctrlnet.Config
-}{on: true} // the zero Config is the perfect channel
-
-// SetCtrlNet selects the controller↔engine interaction path for
-// subsequently built testbeds: true (default, the -ctrl.net toggle)
-// routes snapshot collection, heartbeats and retuning actions over a
-// simulated message channel; false restores the direct-call path.
-func SetCtrlNet(on bool) { ctrlHook.on = on }
+// ctrlLink is the default link characteristics of every control channel
+// built after SetCtrlLink. The zero Config is the perfect channel.
+var ctrlLink ctrlnet.Config
 
 // SetCtrlLink sets the default link characteristics (latency, jitter,
 // drop, duplication, reordering) of every control channel built after
-// the call. Ignored when SetCtrlNet(false) is in effect.
-func SetCtrlLink(link ctrlnet.Config) { ctrlHook.link = link }
+// the call.
+func SetCtrlLink(link ctrlnet.Config) { ctrlLink = link }
 
 // arrivalHook, when set, receives every client submission any
 // subsequently run scenario makes — cohort (application) name, exact
@@ -174,9 +134,7 @@ func newTestbed(seed uint64, servers, poolPages int, cfg core.Config) *testbed {
 	s := sim.NewEngine(seed)
 	mgr := cluster.NewManager()
 	mgr.PoolConfig = poolConfig(poolPages)
-	mgr.StatWorkers = statWorkers
 	mgr.Tracer = tracer
-	mgr.InlinePhases = !eventCore
 	for i := 0; i < servers; i++ {
 		mgr.AddServer(newServer(fmt.Sprintf("db%d", i+1), poolPages*2))
 	}
@@ -192,20 +150,12 @@ func newTestbed(seed uint64, servers, poolPages int, cfg core.Config) *testbed {
 	if obsHooks.onTestbed != nil {
 		obsHooks.onTestbed(ctl, mgr, s)
 	}
-	tb := &testbed{sim: s, mgr: mgr, ctl: ctl}
-	if ctrlHook.on {
-		tb.net = ctrlnet.New(s, seed^ctrlNetSeed)
-		tb.net.SetDefaults(ctrlHook.link)
-		tb.cp = ctl.AttachControlPlane(tb.net, core.CtrlConfig{})
-		tb.cp.SetTracer(tracer)
-	}
-	return tb
+	net := ctrlnet.New(s, seed^ctrlNetSeed)
+	net.SetDefaults(ctrlLink)
+	cp := ctl.AttachControlPlane(net)
+	cp.SetTracer(tracer)
+	return &testbed{sim: s, mgr: mgr, ctl: ctl, net: net, cp: cp}
 }
-
-// close stops the engines' statistics goroutines at the end of a
-// scenario. A no-op with synchronous engines, but every scenario defers
-// it so SetStatWorkers cannot leak goroutines across runs.
-func (tb *testbed) close() { tb.mgr.Close() }
 
 // startApp registers app with the manager and provisions its first
 // replica on a free server, returning the scheduler.

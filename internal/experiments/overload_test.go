@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"reflect"
 	"testing"
 )
 
@@ -84,27 +83,18 @@ func TestOverloadProtection(t *testing.T) {
 	}
 }
 
-// TestOverloadDeterminism: the same seed must reproduce the same run.
+// TestOverloadDeterminism: the same seed must reproduce the same run,
+// byte for byte as JSON.
 func TestOverloadDeterminism(t *testing.T) {
-	a, err := Overload(7)
-	if err != nil {
-		t.Fatal(err)
+	var runs [2][]byte
+	for i := range runs {
+		r, err := Overload(7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs[i] = mustJSON(t, r)
 	}
-	b, err := Overload(7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a.ShedOrder, b.ShedOrder) {
-		t.Errorf("shed order differs: %v vs %v", a.ShedOrder, b.ShedOrder)
-	}
-	if a.ShedInteractions != b.ShedInteractions {
-		t.Errorf("shed interactions differ: %d vs %d", a.ShedInteractions, b.ShedInteractions)
-	}
-	if a.NominalLatency != b.NominalLatency || a.PeakLatency != b.PeakLatency ||
-		a.ProtectedLatency != b.ProtectedLatency || a.FinalLatency != b.FinalLatency {
-		t.Errorf("latencies differ: %+v vs %+v", a, b)
-	}
-	if a.Readmits != b.Readmits || a.Resheds != b.Resheds {
-		t.Errorf("action counts differ: %d/%d vs %d/%d", a.Readmits, a.Resheds, b.Readmits, b.Resheds)
+	if string(runs[0]) != string(runs[1]) {
+		t.Errorf("same seed, different runs:\n%s\nvs\n%s", runs[0], runs[1])
 	}
 }

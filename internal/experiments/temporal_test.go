@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"testing"
 
 	"outlierlb/internal/wltemporal"
@@ -85,18 +84,8 @@ func TestTraceReplayIdentityScenario(t *testing.T) {
 // retained span trees.
 func fig3Fingerprint(t *testing.T, seed uint64) (result, spans []byte) {
 	t.Helper()
-	traces, _ := withTracer(4096, func() {
-		r := Figure3(seed)
-		var err error
-		if result, err = json.Marshal(r); err != nil {
-			t.Fatal(err)
-		}
-	})
-	spans, err := json.Marshal(traces)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return result, spans
+	traces, _ := withTracer(4096, func() { result = mustJSON(t, Figure3(seed)) })
+	return result, mustJSON(t, traces)
 }
 
 // TestFig3RecordReplayIdentity is the acceptance criterion for the

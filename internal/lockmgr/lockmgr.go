@@ -14,7 +14,7 @@
 //
 // Concurrency: a Manager belongs to one engine's query path
 // (internal/engine) and inherits its single-owner rule; lock waits it
-// reports are logged through the engine's statistics pipeline.
+// reports are logged through the engine's private logging buffer.
 package lockmgr
 
 import "sort"

@@ -269,3 +269,66 @@ func TestAccessWindowProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCollectorDoubleBuffer verifies the swap preserves Snapshot's
+// contract: idle classes keep reporting zero vectors in later intervals,
+// and counters never leak across the swap.
+func TestCollectorDoubleBuffer(t *testing.T) {
+	c := NewCollector()
+	id := ClassID{App: "a", Class: "Q"}
+	c.RecordQuery(id, 0.5)
+	s1 := c.Snapshot(1)
+	if got := s1[id].Get(Throughput); got != 1 {
+		t.Fatalf("first interval throughput: got %v want 1", got)
+	}
+	// Two idle intervals: the class must still be reported, at zero, from
+	// both halves of the double buffer.
+	for i := 0; i < 2; i++ {
+		s := c.Snapshot(1)
+		v, ok := s[id]
+		if !ok {
+			t.Fatalf("interval %d: idle class vanished from snapshot", i+2)
+		}
+		if v != (Vector{}) {
+			t.Fatalf("interval %d: idle class has non-zero vector %v", i+2, v)
+		}
+	}
+	// Steady state: snapshots must not allocate fresh accumulator maps.
+	allocs := testing.AllocsPerRun(100, func() {
+		c.RecordQuery(id, 0.1)
+		c.Snapshot(1)
+	})
+	// The result map and the percentile scratch are expected; the
+	// accumulator maps and histograms themselves must be recycled, so a
+	// rebuild (fresh map + accum + histogram per class) would exceed this.
+	if allocs > 10 {
+		t.Errorf("steady-state snapshot allocates %.1f objects per run", allocs)
+	}
+}
+
+// TestApplyMatchesRecords checks the batch path and the per-record path
+// accumulate identically.
+func TestApplyMatchesRecords(t *testing.T) {
+	id := ClassID{App: "a", Class: "Q"}
+	batch := []Record{
+		{Kind: RecQuery, Class: id, Value: 0.2},
+		{Kind: RecAccess, Class: id, Miss: true},
+		{Kind: RecAccess, Class: id},
+		{Kind: RecIO, Class: id, Value: 7},
+		{Kind: RecReadAhead, Class: id, Value: 4},
+		{Kind: RecLockWait, Class: id, Value: 0.05},
+	}
+	a := NewCollector()
+	a.Apply(batch)
+	b := NewCollector()
+	b.RecordQuery(id, 0.2)
+	b.RecordAccess(id, true)
+	b.RecordAccess(id, false)
+	b.RecordIO(id, 7)
+	b.RecordReadAhead(id, 4)
+	b.RecordLockWait(id, 0.05)
+	av, bv := a.Snapshot(2)[id], b.Snapshot(2)[id]
+	if av != bv {
+		t.Fatalf("Apply %v != record methods %v", av, bv)
+	}
+}

@@ -51,8 +51,7 @@ const (
 	// remote action delivery over the message-passing control channel:
 	// its events are the message hops (send, retry, ack, rejection).
 	// Only created for non-inline deliveries — a perfect channel adds no
-	// spans, keeping perfect-channel traces identical to direct-call
-	// traces. Created by Tracer.StartMarker.
+	// spans. Created by Tracer.StartMarker.
 	SpanCtrlAction SpanKind = "ctrl-action"
 )
 

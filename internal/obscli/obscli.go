@@ -32,16 +32,6 @@ import (
 // EventLogCapacity is how many decision-trace events the tools retain.
 const EventLogCapacity = 4096
 
-// EventCoreFlag registers the shared -sim.eventcore flag so every tool
-// documents the transition toggle identically. It defaults to on; the
-// caller applies the parsed value with experiments.SetEventCore.
-// DESIGN.md §10 explains why both settings are bit-identical.
-func EventCoreFlag() *bool {
-	return flag.Bool("sim.eventcore", true,
-		"drive arrivals, service phases and controller ticks through the discrete-event core "+
-			"(transition flag: =false restores inline phase accounting; both paths are bit-identical)")
-}
-
 // FlagWasSet reports whether the named flag was passed explicitly on
 // the command line (call after flag.Parse). Modes that would silently
 // ignore a flag use this to refuse it even when the explicit value
@@ -56,12 +46,11 @@ func FlagWasSet(name string) bool {
 	return set
 }
 
-// CtrlFlags is the shared -ctrl.* flag set: the control-plane transition
-// toggle plus the channel's default link characteristics. Registered
-// here so every tool documents the flags identically and the suites can
-// reject the whole family by name.
+// CtrlFlags is the shared -ctrl.* flag set: the control channel's
+// default link characteristics. Registered here so every tool documents
+// the flags identically and the suites can reject the whole family by
+// name.
 type CtrlFlags struct {
-	net     *bool
 	latency *float64
 	jitter  *float64
 	drop    *float64
@@ -69,15 +58,12 @@ type CtrlFlags struct {
 }
 
 // ctrlFlagNames is every flag RegisterCtrlFlags defines, for AnySet.
-var ctrlFlagNames = []string{"ctrl.net", "ctrl.latency", "ctrl.jitter", "ctrl.drop", "ctrl.dup"}
+var ctrlFlagNames = []string{"ctrl.latency", "ctrl.jitter", "ctrl.drop", "ctrl.dup"}
 
 // RegisterCtrlFlags registers the shared -ctrl.* flags. The caller
 // applies the parsed values with Apply after flag.Parse.
 func RegisterCtrlFlags() *CtrlFlags {
 	return &CtrlFlags{
-		net: flag.Bool("ctrl.net", true,
-			"route controller↔engine snapshots, heartbeats and actions over a simulated message channel "+
-				"(transition flag: =false restores the direct-call path; with a perfect channel both are bit-identical)"),
 		latency: flag.Float64("ctrl.latency", 0, "control channel: one-way delivery latency in seconds"),
 		jitter:  flag.Float64("ctrl.jitter", 0, "control channel: uniform latency jitter in seconds"),
 		drop:    flag.Float64("ctrl.drop", 0, "control channel: message loss probability in [0, 1)"),
@@ -88,7 +74,6 @@ func RegisterCtrlFlags() *CtrlFlags {
 // Apply pushes the parsed -ctrl.* values into the experiments hooks so
 // every subsequently built testbed uses them.
 func (c *CtrlFlags) Apply() {
-	experiments.SetCtrlNet(*c.net)
 	experiments.SetCtrlLink(ctrlnet.Config{
 		Latency: *c.latency, Jitter: *c.jitter, Drop: *c.drop, Dup: *c.dup,
 	})
