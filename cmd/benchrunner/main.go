@@ -5,9 +5,7 @@
 //	benchrunner -exp table2       # one experiment
 //	benchrunner -exp fig5 -csv    # machine-readable series
 //
-// Experiments: fig3, fig4, fig5, fig6, table1, table2, table3, ablations,
-// chaos, overload, flash-crowd, diurnal-shift, olap-antagonist,
-// trace-replay.
+// The -exp usage text (benchrunner -h) lists every experiment.
 //
 // Experiment runs also accept -wl.record FILE / -wl.replay FILE to
 // capture the offered load as a workload-trace-v2 or feed a recorded
@@ -29,6 +27,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"outlierlb/internal/experiments"
@@ -37,9 +36,12 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all",
-		"experiment to run: fig3|fig4|fig5|fig6|table1|table2|table3|ablations|chaos|overload|"+
-			"flash-crowd|diurnal-shift|olap-antagonist|trace-replay|all")
+	table := experimentTable()
+	var names []string
+	for _, e := range table {
+		names = append(names, e.name)
+	}
+	exp := flag.String("exp", "all", "experiment to run: "+strings.Join(names, "|")+"|all")
 	seed := flag.Uint64("seed", 1, "simulation seed")
 	csv := flag.Bool("csv", false, "emit figures as CSV series instead of aligned text")
 	obsAddr := flag.String("obs.addr", "", "serve /metrics and /debug endpoints on this address (e.g. :9090)")
@@ -64,7 +66,6 @@ func main() {
 	runOut := flag.String("run.out", "",
 		"flush a RUN_*.json flight recording (metric time series + sampled traces) to FILE on completion")
 	pprof := flag.Bool("obs.pprof", false, "mount net/http/pprof under /debug/pprof/ on -obs.addr")
-	ctrlFlags := obscli.RegisterCtrlFlags()
 	wlFlags := obscli.RegisterWlFlags()
 	flag.Parse()
 
@@ -74,15 +75,6 @@ func main() {
 		if *traceSample != 0 || *runOut != "" || *pprof || *obsAddr != "" {
 			fmt.Fprintln(os.Stderr,
 				"benchrunner: -trace.sample, -run.out, -obs.pprof and -obs.addr apply only to experiment runs, not -suite/-suite.short/-resil")
-			os.Exit(2)
-		}
-		// The performance baselines and the resilience scorecards both pin
-		// a perfect control channel (the ctrl-* scenarios inject their own
-		// degradation), so a -ctrl.* flag here would be silently ignored;
-		// refuse it even at its default value.
-		if name, set := ctrlFlags.AnySet(); set {
-			fmt.Fprintf(os.Stderr,
-				"benchrunner: %s applies only to experiment runs, not -suite/-suite.short/-resil\n", name)
 			os.Exit(2)
 		}
 		// The suites pin their own offered load; a trace flag here would
@@ -104,9 +96,10 @@ func main() {
 		return
 	}
 
-	ctrlFlags.Apply()
-	if err := wlFlags.Apply(); err != nil {
-		fmt.Fprintln(os.Stderr, "benchrunner:", err)
+	want := strings.ToLower(*exp)
+	if want != "all" && !slices.Contains(names, want) {
+		fmt.Fprintf(os.Stderr, "benchrunner: unknown experiment %q (want %s or all)\n",
+			want, strings.Join(names, "|"))
 		os.Exit(2)
 	}
 
@@ -124,6 +117,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchrunner:", err)
 		os.Exit(1)
 	}
+	env := session.Env
+	if err := wlFlags.Apply(&env); err != nil {
+		fmt.Fprintln(os.Stderr, "benchrunner:", err)
+		os.Exit(2)
+	}
 	defer func() {
 		if err := wlFlags.Finish(); err != nil {
 			fmt.Fprintln(os.Stderr, "benchrunner:", err)
@@ -133,44 +131,46 @@ func main() {
 		session.WaitForInterrupt()
 	}()
 
-	runners := map[string]func(uint64, bool){
-		"fig3":            runFig3,
-		"fig4":            runFig4,
-		"fig5":            runFig5,
-		"fig6":            runFig6,
-		"table1":          runTable1,
-		"table2":          runTable2,
-		"table3":          runTable3,
-		"ablations":       runAblations,
-		"chaos":           runChaosSuite,
-		"overload":        runOverload,
-		"flash-crowd":     runTemporal("flash-crowd", experiments.FlashCrowd),
-		"diurnal-shift":   runTemporal("diurnal-shift", experiments.DiurnalShift),
-		"olap-antagonist": runTemporal("olap-antagonist", experiments.OLAPAntagonist),
-		"trace-replay":    runTemporal("trace-replay-identity", experiments.TraceReplayIdentity),
-	}
-	names := []string{"fig3", "fig4", "fig5", "fig6", "table1", "table2", "table3", "ablations", "chaos", "overload",
-		"flash-crowd", "diurnal-shift", "olap-antagonist", "trace-replay"}
-
-	want := strings.ToLower(*exp)
-	if want == "all" {
-		for _, n := range names {
-			runners[n](*seed, *csv)
+	for _, e := range table {
+		switch want {
+		case "all":
+			e.run(env, *seed, *csv)
 			fmt.Println()
+		case e.name:
+			e.run(env, *seed, *csv)
 		}
-		return
 	}
-	run, ok := runners[want]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "benchrunner: unknown experiment %q (want %s or all)\n",
-			want, strings.Join(names, "|"))
-		os.Exit(2)
-	}
-	run(*seed, *csv)
 }
 
-func runFig3(seed uint64, csv bool) {
-	r := experiments.Figure3(seed)
+// experiment is one -exp entry.
+type experiment struct {
+	name string
+	run  func(env experiments.Env, seed uint64, csv bool)
+}
+
+// experimentTable lists every -exp experiment in the order -exp all
+// runs them; the -exp usage text and the name lookup derive from it.
+func experimentTable() []experiment {
+	return []experiment{
+		{"fig3", runFig3},
+		{"fig4", runFig4},
+		{"fig5", runFig5},
+		{"fig6", runFig6},
+		{"table1", runTable1},
+		{"table2", runTable2},
+		{"table3", runTable3},
+		{"ablations", runAblations},
+		{"chaos", runChaosSuite},
+		{"overload", runOverload},
+		{"flash-crowd", runTemporal("flash-crowd", experiments.Env.FlashCrowd)},
+		{"diurnal-shift", runTemporal("diurnal-shift", experiments.Env.DiurnalShift)},
+		{"olap-antagonist", runTemporal("olap-antagonist", experiments.Env.OLAPAntagonist)},
+		{"trace-replay", runTemporal("trace-replay-identity", experiments.Env.TraceReplayIdentity)},
+	}
+}
+
+func runFig3(env experiments.Env, seed uint64, csv bool) {
+	r := env.Figure3(seed)
 	fmt.Println("=== Figure 3: alleviation of CPU contention (§5.2) ===")
 	if csv {
 		fmt.Println("time,clients,machines,latency")
@@ -200,8 +200,8 @@ func runFig3(seed uint64, csv bool) {
 	}
 }
 
-func runFig4(seed uint64, csv bool) {
-	r := experiments.Figure4(seed)
+func runFig4(env experiments.Env, seed uint64, csv bool) {
+	r := env.Figure4(seed)
 	fmt.Println("=== Figure 4: dropping the O_DATE index (§5.3) ===")
 	fmt.Println("ratios of measured values to stable-state averages per query class:")
 	if csv {
@@ -242,20 +242,20 @@ func printMRC(r *experiments.MRCResult, csv bool) {
 		r.Params.AcceptableMemory, r.Params.AcceptableMissRatio)
 }
 
-func runFig5(seed uint64, csv bool) {
+func runFig5(env experiments.Env, seed uint64, csv bool) {
 	fmt.Println("=== Figure 5: MRC of BestSeller, normal configuration (§5.3) ===")
-	printMRC(experiments.Figure5(seed), csv)
+	printMRC(env.Figure5(seed), csv)
 	fmt.Println("paper: acceptable memory 6982 pages")
 }
 
-func runFig6(seed uint64, csv bool) {
+func runFig6(env experiments.Env, seed uint64, csv bool) {
 	fmt.Println("=== Figure 6: MRC of RUBiS SearchItemsByRegion (§5.4) ===")
-	printMRC(experiments.Figure6(seed), csv)
+	printMRC(env.Figure6(seed), csv)
 	fmt.Println("paper: acceptable memory ≈7906 pages")
 }
 
-func runTable1(seed uint64, _ bool) {
-	r := experiments.Table1(seed)
+func runTable1(env experiments.Env, seed uint64, _ bool) {
+	r := env.Table1(seed)
 	fmt.Println("=== Table 1: hit ratio of buffer-pool managements (§5.3) ===")
 	fmt.Printf("%-16s %14s %18s %18s\n", "", "Shared Buffer", "Partitioned Buffer", "Exclusive Buffer")
 	fmt.Printf("%-16s %13.1f%% %17.1f%% %17.1f%%\n", "BestSeller", r.SharedBest, r.PartitionedBest, r.ExclusiveBest)
@@ -267,8 +267,8 @@ func runTable1(seed uint64, _ bool) {
 	fmt.Println("  Non-BestSeller  96.2%             99.5%            99.9%")
 }
 
-func runTable2(seed uint64, _ bool) {
-	r := experiments.Table2(seed)
+func runTable2(env experiments.Env, seed uint64, _ bool) {
+	r := env.Table2(seed)
 	fmt.Println("=== Table 2: memory contention in a shared buffer pool (§5.4) ===")
 	fmt.Printf("%-38s %10s %10s\n", "placement", "latency(s)", "WIPS")
 	for _, row := range r.Rows {
@@ -281,8 +281,8 @@ func runTable2(seed uint64, _ bool) {
 	fmt.Println("paper: 0.54s/6.57 → 5.42s/4.29 → 1.27s/6.44")
 }
 
-func runTable3(seed uint64, _ bool) {
-	r := experiments.Table3(seed)
+func runTable3(env experiments.Env, seed uint64, _ bool) {
+	r := env.Table3(seed)
 	fmt.Println("=== Table 3: I/O contention among VM domains (§5.5) ===")
 	fmt.Printf("%-10s %-24s %10s %10s\n", "domain-1", "domain-2", "latency(s)", "WIPS")
 	for _, row := range r.Rows {
@@ -293,15 +293,15 @@ func runTable3(seed uint64, _ bool) {
 	fmt.Println("paper: 1.5s/97 → 4.8s/30 → 1.5s/95")
 }
 
-func runChaosSuite(seed uint64, csv bool) {
+func runChaosSuite(env experiments.Env, seed uint64, csv bool) {
 	fmt.Println("=== Chaos: replica health management under injected faults ===")
 	scenarios := []struct {
 		name string
-		fn   func(uint64) (*experiments.ChaosResult, error)
+		fn   func(experiments.Env, uint64) (*experiments.ChaosResult, error)
 	}{
-		{"gray-failure", experiments.ChaosGrayFailure},
-		{"flapping", experiments.ChaosFlapping},
-		{"metric-blackout", experiments.ChaosMetricBlackout},
+		{"gray-failure", experiments.Env.ChaosGrayFailure},
+		{"flapping", experiments.Env.ChaosFlapping},
+		{"metric-blackout", experiments.Env.ChaosMetricBlackout},
 	}
 	if csv {
 		fmt.Println("scenario,healthy,fault,final,errors,trips,recoveries,retries,degraded,provisions,shrinks,target_healthy")
@@ -310,7 +310,7 @@ func runChaosSuite(seed uint64, csv bool) {
 			"scenario", "healthy", "fault", "final", "errors", "trips", "recov", "retries", "degraded", "actions", "healthy")
 	}
 	for _, sc := range scenarios {
-		r, err := sc.fn(seed)
+		r, err := sc.fn(env, seed)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "benchrunner: %s: %v\n", sc.name, err)
 			os.Exit(1)
@@ -331,9 +331,9 @@ func runChaosSuite(seed uint64, csv bool) {
 	}
 }
 
-func runOverload(seed uint64, csv bool) {
+func runOverload(env experiments.Env, seed uint64, csv bool) {
 	fmt.Println("=== Overload: admission control and impact-ranked load shedding ===")
-	r, err := experiments.Overload(seed)
+	r, err := env.Overload(seed)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchrunner: overload:", err)
 		os.Exit(1)
@@ -358,9 +358,9 @@ func runOverload(seed uint64, csv bool) {
 // runTemporal adapts one temporal-workload scenario (flash-crowd,
 // diurnal-shift, olap-antagonist, trace-replay-identity) to the -exp
 // runner shape. The CSV form emits one row per run for sweeps.
-func runTemporal(name string, fn func(uint64) (*experiments.TemporalResult, error)) func(uint64, bool) {
-	return func(seed uint64, csv bool) {
-		r, err := fn(seed)
+func runTemporal(name string, fn func(experiments.Env, uint64) (*experiments.TemporalResult, error)) func(experiments.Env, uint64, bool) {
+	return func(env experiments.Env, seed uint64, csv bool) {
+		r, err := fn(env, seed)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "benchrunner: %s: %v\n", name, err)
 			os.Exit(1)
@@ -391,19 +391,19 @@ func runTemporal(name string, fn func(uint64) (*experiments.TemporalResult, erro
 	}
 }
 
-func runAblations(seed uint64, _ bool) {
+func runAblations(env experiments.Env, seed uint64, _ bool) {
 	fmt.Println("=== Ablations (design choices) ===")
-	quota, migrate := experiments.AblationQuotaVsMigrate(seed)
+	quota, migrate := env.AblationQuotaVsMigrate(seed)
 	fmt.Printf("quota vs migrate (index drop): quota %d server(s) at %.3fs; migrate %d server(s) at %.3fs\n",
 		quota.ServersUsed, quota.FinalLatency, migrate.ServersUsed, migrate.FinalLatency)
-	fine, coarse := experiments.AblationFineVsCoarse(seed)
+	fine, coarse := env.AblationFineVsCoarse(seed)
 	fmt.Printf("fine vs coarse (consolidation): fine %d server(s), recovery %.0fs; coarse %d server(s), recovery %.0fs\n",
 		fine.ServersUsed, fine.RecoverySeconds, coarse.ServersUsed, coarse.RecoverySeconds)
-	otk := experiments.AblationOutlierVsTopK(seed)
+	otk := env.AblationOutlierVsTopK(seed)
 	fmt.Printf("outlier vs top-k: detector examined %d classes (culprit found: %v); blanket top-%d\n",
 		otk.OutlierCandidates, otk.OutlierFoundBestSeller, otk.TopKCandidates)
 	fmt.Println("fence sweep (inner multiplier → flagged classes):")
-	for _, pt := range experiments.AblationFences(seed) {
+	for _, pt := range env.AblationFences(seed) {
 		fmt.Printf("  %.1f → %d (culprit flagged: %v)\n", pt.Inner, pt.Outliers, pt.HasBestSeller)
 	}
 }

@@ -34,6 +34,7 @@ type resilScenario struct {
 }
 
 func resilScenarios() []resilScenario {
+	env := experiments.Env{} // -resil refuses every flag that fills one
 	chaos := func(fn func(uint64) (*experiments.ChaosResult, error)) func(uint64) (resil.Scorecard, error) {
 		return func(seed uint64) (resil.Scorecard, error) {
 			r, err := fn(seed)
@@ -44,21 +45,21 @@ func resilScenarios() []resilScenario {
 		}
 	}
 	defs := []resilScenario{
-		{name: "gray-failure", wantMitigate: true, run: chaos(experiments.ChaosGrayFailure)},
-		{name: "flapping", wantMitigate: true, run: chaos(experiments.ChaosFlapping)},
-		{name: "metric-blackout", wantMitigate: true, run: chaos(experiments.ChaosMetricBlackout)},
-		{name: "byzantine-metrics", run: chaos(experiments.ChaosByzantineMetrics)},
-		{name: "snapshot-corruption", run: chaos(experiments.ChaosSnapshotCorruption)},
-		{name: "clock-skew", run: chaos(experiments.ChaosClockSkew)},
+		{name: "gray-failure", wantMitigate: true, run: chaos(env.ChaosGrayFailure)},
+		{name: "flapping", wantMitigate: true, run: chaos(env.ChaosFlapping)},
+		{name: "metric-blackout", wantMitigate: true, run: chaos(env.ChaosMetricBlackout)},
+		{name: "byzantine-metrics", run: chaos(env.ChaosByzantineMetrics)},
+		{name: "snapshot-corruption", run: chaos(env.ChaosSnapshotCorruption)},
+		{name: "clock-skew", run: chaos(env.ChaosClockSkew)},
 		// The control-channel scenarios attack the message channel itself.
 		// Partitions and loss must be visibly acted on (epoch fences,
 		// retransmissions); delayed snapshots are an absorb-only scenario —
 		// the staleness guard rejects the old reports and nothing else
 		// should happen.
-		{name: "ctrl-partition", wantMitigate: true, run: chaos(experiments.ChaosCtrlPartition)},
-		{name: "ctrl-asym-partition", wantMitigate: true, run: chaos(experiments.ChaosCtrlAsymPartition)},
-		{name: "ctrl-lossy", wantMitigate: true, run: chaos(experiments.ChaosCtrlLossy)},
-		{name: "ctrl-delayed-snapshots", run: chaos(experiments.ChaosCtrlDelayedSnapshots)},
+		{name: "ctrl-partition", wantMitigate: true, run: chaos(env.ChaosCtrlPartition)},
+		{name: "ctrl-asym-partition", wantMitigate: true, run: chaos(env.ChaosCtrlAsymPartition)},
+		{name: "ctrl-lossy", wantMitigate: true, run: chaos(env.ChaosCtrlLossy)},
+		{name: "ctrl-delayed-snapshots", run: chaos(env.ChaosCtrlDelayedSnapshots)},
 	}
 	// The temporal scenarios stress the control plane with load shape
 	// rather than injected faults: the surge window is the scorecard's
@@ -77,19 +78,18 @@ func resilScenarios() []resilScenario {
 		}
 	}
 	defs = append(defs,
-		resilScenario{name: "flash-crowd", wantMitigate: true, run: temporal(experiments.FlashCrowd)},
-		resilScenario{name: "diurnal-shift", wantMitigate: true, run: temporal(experiments.DiurnalShift)},
-		resilScenario{name: "olap-antagonist", wantMitigate: true, run: temporal(experiments.OLAPAntagonist)},
-		resilScenario{name: "trace-replay-identity", wantMitigate: true, run: temporal(experiments.TraceReplayIdentity)},
+		resilScenario{name: "flash-crowd", wantMitigate: true, run: temporal(env.FlashCrowd)},
+		resilScenario{name: "diurnal-shift", wantMitigate: true, run: temporal(env.DiurnalShift)},
+		resilScenario{name: "olap-antagonist", wantMitigate: true, run: temporal(env.OLAPAntagonist)},
+		resilScenario{name: "trace-replay-identity", wantMitigate: true, run: temporal(env.TraceReplayIdentity)},
 	)
 	for _, tpl := range experiments.GuardTemplates() {
-		tpl := tpl
 		defs = append(defs, resilScenario{
 			name:         "guard-" + tpl,
 			wantMitigate: true,
 			wantRevert:   true,
 			run: func(seed uint64) (resil.Scorecard, error) {
-				r, err := experiments.GuardScenario(seed, tpl)
+				r, err := env.GuardScenario(seed, tpl)
 				if err != nil {
 					return resil.Scorecard{}, err
 				}

@@ -48,7 +48,7 @@ import (
 type scenarioDef struct {
 	name string
 	desc string
-	run  func(seed uint64)
+	run  func(env experiments.Env, seed uint64)
 }
 
 // scenarios is the full registry, in listing order. -scenario values
@@ -62,79 +62,64 @@ func scenarios() []scenarioDef {
 		{"iocontention", "§5.5 two VMs, dom-0 I/O interference", runIOContention},
 		{"lockcontention", "§7 future work: lock-wait outliers", runLockContention},
 		{"failure", "§7 future work: replica crash + recovery", runFailure},
-		{"grayfailure", "chaos: one replica's disk degrades 8x for 200s", func(seed uint64) {
-			runChaos(seed, "one replica's disk degrades 8x for 200s (gray failure: it answers, slowly)",
-				experiments.ChaosGrayFailure)
-		}},
-		{"flapping", "chaos: one replica cycles down/up every ~15s", func(seed uint64) {
-			runChaos(seed, "one replica cycles down/up every ~15s for 120s",
-				experiments.ChaosFlapping)
-		}},
-		{"blackout", "chaos: one server's metrics go dark for 150s", func(seed uint64) {
-			runChaos(seed, "one server's monitoring goes dark for 150s while it keeps serving",
-				experiments.ChaosMetricBlackout)
-		}},
+		{"grayfailure", "chaos: one replica's disk degrades 8x for 200s",
+			runChaos("one replica's disk degrades 8x for 200s (gray failure: it answers, slowly)",
+				experiments.Env.ChaosGrayFailure)},
+		{"flapping", "chaos: one replica cycles down/up every ~15s",
+			runChaos("one replica cycles down/up every ~15s for 120s",
+				experiments.Env.ChaosFlapping)},
+		{"blackout", "chaos: one server's metrics go dark for 150s",
+			runChaos("one server's monitoring goes dark for 150s while it keeps serving",
+				experiments.Env.ChaosMetricBlackout)},
 		{"overload", "chaos: 2x load pulse, impact-ranked shedding", runOverload},
-		{"byzantine", "adversarial: one replica's monitoring lies (scaled CPU, inflated latency)", func(seed uint64) {
-			runChaos(seed, "one healthy replica's monitoring lies for 200s (scaled CPU, 8x latency snapshots)",
-				experiments.ChaosByzantineMetrics)
-		}},
-		{"snapcorrupt", "adversarial: one engine's snapshots dropped, then duplicated", func(seed uint64) {
-			runChaos(seed, "one engine's snapshots are dropped for 95s, then a stale snapshot is re-delivered for 95s",
-				experiments.ChaosSnapshotCorruption)
-		}},
-		{"clockskew", "adversarial: the controller's clock steps +60s and back", func(seed uint64) {
-			runChaos(seed, "the controller's clock steps +60s at t=200s and back at t=400s",
-				experiments.ChaosClockSkew)
-		}},
-		{"ctrl-partition", "control channel: the controller is partitioned from every engine for 150s", func(seed uint64) {
-			runChaos(seed, "the controller endpoint is partitioned in both directions for 150s: "+
+		{"byzantine", "adversarial: one replica's monitoring lies (scaled CPU, inflated latency)",
+			runChaos("one healthy replica's monitoring lies for 200s (scaled CPU, 8x latency snapshots)",
+				experiments.Env.ChaosByzantineMetrics)},
+		{"snapcorrupt", "adversarial: one engine's snapshots dropped, then duplicated",
+			runChaos("one engine's snapshots are dropped for 95s, then a stale snapshot is re-delivered for 95s",
+				experiments.Env.ChaosSnapshotCorruption)},
+		{"clockskew", "adversarial: the controller's clock steps +60s and back",
+			runChaos("the controller's clock steps +60s at t=200s and back at t=400s",
+				experiments.Env.ChaosClockSkew)},
+		{"ctrl-partition", "control channel: the controller is partitioned from every engine for 150s",
+			runChaos("the controller endpoint is partitioned in both directions for 150s: "+
 				"unreachable declarations, epoch fencing, engine autonomy, then recovery",
-				experiments.ChaosCtrlPartition)
-		}},
-		{"ctrl-asym", "control channel: one engine's link toward the controller is cut for 150s", func(seed uint64) {
-			runChaos(seed, "one engine's link toward the controller is cut for 150s (half-open): "+
+				experiments.Env.ChaosCtrlPartition)},
+		{"ctrl-asym", "control channel: one engine's link toward the controller is cut for 150s",
+			runChaos("one engine's link toward the controller is cut for 150s (half-open): "+
 				"the controller declares it unreachable from silence while its lease keeps renewing",
-				experiments.ChaosCtrlAsymPartition)
-		}},
-		{"ctrl-lossy", "control channel: 30% loss and 15% duplication under an overload pulse", func(seed uint64) {
-			runChaos(seed, "every control link degrades to 30% loss, 15% duplication and jittered latency for 200s "+
+				experiments.Env.ChaosCtrlAsymPartition)},
+		{"ctrl-lossy", "control channel: 30% loss and 15% duplication under an overload pulse",
+			runChaos("every control link degrades to 30% loss, 15% duplication and jittered latency for 200s "+
 				"while an overload pulse forces retuning actions through it",
-				experiments.ChaosCtrlLossy)
-		}},
-		{"ctrl-delayed", "control channel: snapshot reports delayed past the measurement interval", func(seed uint64) {
-			runChaos(seed, "engine snapshot reports are delayed by 12s — past the 10s interval — for 150s: "+
+				experiments.Env.ChaosCtrlLossy)},
+		{"ctrl-delayed", "control channel: snapshot reports delayed past the measurement interval",
+			runChaos("engine snapshot reports are delayed by 12s — past the 10s interval — for 150s: "+
 				"the staleness guard must reject them while the failure detector stays reachable",
-				experiments.ChaosCtrlDelayedSnapshots)
-		}},
-		{"flash-crowd", "temporal: referral-event crowd surges over an OLTP baseline in MMPP bursts", func(seed uint64) {
-			runTemporal(seed, "a flash crowd lands on a steady OLTP baseline at t=300s — 10s ramp to a "+
+				experiments.Env.ChaosCtrlDelayedSnapshots)},
+		{"flash-crowd", "temporal: referral-event crowd surges over an OLTP baseline in MMPP bursts",
+			runTemporal("a flash crowd lands on a steady OLTP baseline at t=300s — 10s ramp to a "+
 				"160 qps peak, power-law decay — and the controller must provision into the surge",
-				experiments.FlashCrowd)
-		}},
-		{"diurnal-shift", "temporal: closed-loop clients follow a day/night cycle; provision into the peak, shrink after", func(seed uint64) {
-			runTemporal(seed, "closed-loop clients follow a diurnal cycle: the trough fits one replica, "+
+				experiments.Env.FlashCrowd)},
+		{"diurnal-shift", "temporal: closed-loop clients follow a day/night cycle; provision into the peak, shrink after",
+			runTemporal("closed-loop clients follow a diurnal cycle: the trough fits one replica, "+
 				"the midday peak does not — capacity must follow the pattern in both directions",
-				experiments.DiurnalShift)
-		}},
-		{"olap-antagonist", "temporal: a scan-heavy OLAP app co-located inside one TPC-W replica's engine", func(seed uint64) {
-			runTemporal(seed, "a scan-heavy OLAP antagonist attaches inside the second TPC-W replica's "+
+				experiments.Env.DiurnalShift)},
+		{"olap-antagonist", "temporal: a scan-heavy OLAP app co-located inside one TPC-W replica's engine",
+			runTemporal("a scan-heavy OLAP antagonist attaches inside the second TPC-W replica's "+
 				"database engine for [300s, 500s), polluting the shared buffer pool (§5.4 co-location)",
-				experiments.OLAPAntagonist)
-		}},
-		{"trace-replay-identity", "temporal: record flash-crowd's offered load, replay it, require a bit-identical run", func(seed uint64) {
-			runTemporal(seed, "flash-crowd runs once while its offered load is recorded as workload-trace-v2, "+
+				experiments.Env.OLAPAntagonist)},
+		{"trace-replay-identity", "temporal: record flash-crowd's offered load, replay it, require a bit-identical run",
+			runTemporal("flash-crowd runs once while its offered load is recorded as workload-trace-v2, "+
 				"then the trace is replayed into a fresh identically-seeded testbed; the replayed "+
 				"run must reproduce the recorded intervals and actions byte-for-byte",
-				experiments.TraceReplayIdentity)
-		}},
+				experiments.Env.TraceReplayIdentity)},
 	}
 	for _, tpl := range experiments.GuardTemplates() {
-		tpl := tpl
 		defs = append(defs, scenarioDef{
 			"guard-" + tpl,
 			"pathological " + tpl + " policy under the action watchdog",
-			func(seed uint64) { runGuard(seed, tpl) },
+			func(env experiments.Env, seed uint64) { runGuard(env, seed, tpl) },
 		})
 	}
 	return defs
@@ -165,10 +150,8 @@ func main() {
 	runOut := flag.String("run.out", "",
 		"flush a RUN_*.json flight recording (metric time series + sampled traces) to FILE on completion")
 	pprof := flag.Bool("obs.pprof", false, "mount net/http/pprof under /debug/pprof/ on -obs.addr")
-	ctrlFlags := obscli.RegisterCtrlFlags()
 	wlFlags := obscli.RegisterWlFlags()
 	flag.Parse()
-	ctrlFlags.Apply()
 
 	if *record != "" {
 		// -record dumps a page-access trace and exits without running a
@@ -191,7 +174,6 @@ func main() {
 	var chosen *scenarioDef
 	for _, d := range scenarios() {
 		if d.name == *scenario {
-			d := d
 			chosen = &d
 			break
 		}
@@ -224,12 +206,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, "outlierlb:", err)
 		os.Exit(1)
 	}
-	if err := wlFlags.Apply(); err != nil {
+	env := session.Env
+	if err := wlFlags.Apply(&env); err != nil {
 		fmt.Fprintln(os.Stderr, "outlierlb:", err)
 		os.Exit(2)
 	}
 
-	chosen.run(*seed)
+	chosen.run(env, *seed)
 
 	if err := wlFlags.Finish(); err != nil {
 		fmt.Fprintln(os.Stderr, "outlierlb:", err)
@@ -239,38 +222,42 @@ func main() {
 	session.WaitForInterrupt()
 }
 
-func runTemporal(seed uint64, desc string, fn func(uint64) (*experiments.TemporalResult, error)) {
-	fmt.Println("scenario:", desc)
-	fmt.Println()
-	r, err := fn(seed)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "outlierlb:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("baseline latency:   %.3fs\n", r.BaselineLatency)
-	fmt.Printf("surge latency:      %.3fs\n", r.SurgeLatency)
-	fmt.Printf("final latency:      %.3fs\n", r.FinalLatency)
-	fmt.Printf("client errors:      %d\n", r.ClientErrors)
-	fmt.Printf("offered load:       %d interactions (%d shed by admission)\n", r.Offered, r.Shed)
-	fmt.Printf("capacity actions:   %d provision(s), %d shrink(s)\n", r.Provisions, r.Shrinks)
-	fmt.Printf("final met streak:   %d interval(s)\n", r.FinalMetStreak)
-	sc := r.Scorecard
-	fmt.Printf("scorecard:          detected=%v (%s, +%.0fs) mitigated=%v (%s, +%.0fs)\n",
-		sc.Detected, sc.DetectKind, sc.TimeToDetect, sc.Mitigated, sc.MitigateKind, sc.TimeToMitigate)
-	fmt.Printf("recovery:           recovered=%v time-to-recover=%.0fs steady-state deviation %+.1f%%\n",
-		sc.Recovered, sc.TimeToRecover, 100*sc.SteadyStateDeviation)
-	fmt.Println()
-	for _, a := range r.Actions {
-		fmt.Println("action:", a)
+// runTemporal returns the runner of one temporal scenario, narrated by
+// desc.
+func runTemporal(desc string, fn func(experiments.Env, uint64) (*experiments.TemporalResult, error)) func(experiments.Env, uint64) {
+	return func(env experiments.Env, seed uint64) {
+		fmt.Println("scenario:", desc)
+		fmt.Println()
+		r, err := fn(env, seed)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "outlierlb:", err)
+			os.Exit(1)
+		}
+		fmt.Printf("baseline latency:   %.3fs\n", r.BaselineLatency)
+		fmt.Printf("surge latency:      %.3fs\n", r.SurgeLatency)
+		fmt.Printf("final latency:      %.3fs\n", r.FinalLatency)
+		fmt.Printf("client errors:      %d\n", r.ClientErrors)
+		fmt.Printf("offered load:       %d interactions (%d shed by admission)\n", r.Offered, r.Shed)
+		fmt.Printf("capacity actions:   %d provision(s), %d shrink(s)\n", r.Provisions, r.Shrinks)
+		fmt.Printf("final met streak:   %d interval(s)\n", r.FinalMetStreak)
+		sc := r.Scorecard
+		fmt.Printf("scorecard:          detected=%v (%s, +%.0fs) mitigated=%v (%s, +%.0fs)\n",
+			sc.Detected, sc.DetectKind, sc.TimeToDetect, sc.Mitigated, sc.MitigateKind, sc.TimeToMitigate)
+		fmt.Printf("recovery:           recovered=%v time-to-recover=%.0fs steady-state deviation %+.1f%%\n",
+			sc.Recovered, sc.TimeToRecover, 100*sc.SteadyStateDeviation)
+		fmt.Println()
+		for _, a := range r.Actions {
+			fmt.Println("action:", a)
+		}
 	}
 }
 
-func runGuard(seed uint64, template string) {
+func runGuard(env experiments.Env, seed uint64, template string) {
 	fmt.Printf("scenario: pathological %s policy is switched on mid-run;\n", template)
 	fmt.Println("the action watchdog must detect each harmful action by its fitness")
 	fmt.Println("regression, roll it back, and contain the repetition")
 	fmt.Println()
-	r, err := experiments.GuardScenario(seed, template)
+	r, err := env.GuardScenario(seed, template)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "outlierlb:", err)
 		os.Exit(1)
@@ -292,10 +279,10 @@ func runGuard(seed uint64, template string) {
 	}
 }
 
-func runFailure(seed uint64) {
+func runFailure(env experiments.Env, seed uint64) {
 	fmt.Println("scenario: one of two TPC-W replicas crashes under load")
 	fmt.Println()
-	r, err := experiments.FailureRecovery(seed)
+	r, err := env.FailureRecovery(seed)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "outlierlb:", err)
 		os.Exit(1)
@@ -310,48 +297,51 @@ func runFailure(seed uint64) {
 	}
 }
 
-func runChaos(seed uint64, desc string, fn func(uint64) (*experiments.ChaosResult, error)) {
-	fmt.Println("scenario:", desc)
-	fmt.Println()
-	r, err := fn(seed)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "outlierlb:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("target replica:     %s\n", r.Target)
-	fmt.Printf("healthy latency:    %.3fs\n", r.HealthyLatency)
-	fmt.Printf("fault latency:      %.3fs\n", r.FaultLatency)
-	fmt.Printf("recovered latency:  %.3fs\n", r.FinalLatency)
-	fmt.Printf("client errors:      %d\n", r.ClientErrors)
-	fmt.Printf("breaker trips:      %d (probes %d, recoveries %d)\n", r.BreakerTrips, r.Probes, r.Recoveries)
-	fmt.Printf("read retries:       %d\n", r.Retries)
-	fmt.Printf("degraded analyses:  %d\n", r.DegradedEvents)
-	fmt.Printf("capacity actions:   %d provision(s), %d shrink(s)\n", r.Provisions, r.Shrinks)
-	fmt.Printf("target ended run:   healthy=%v\n", r.TargetHealthy)
-	if r.CtrlSent > 0 {
-		fmt.Printf("control channel:    %d sent, %d dropped, %d duplicated\n",
-			r.CtrlSent, r.CtrlDropped, r.CtrlDuplicated)
-		fmt.Printf("control protocol:   epoch %d, %d retries, %d dup-suppressed, %d stale-epoch rejections, %d abandoned\n",
-			r.Ctrl.Epoch, r.Ctrl.Retries, r.Ctrl.DupSuppressed, r.Ctrl.EpochRejections, r.Ctrl.Abandoned)
-		fmt.Printf("failure detector:   %d unreachable declaration(s), %d autonomy episode(s), max applications per action %d\n",
-			r.CtrlUnreachableEvents, r.Ctrl.AutonomyEpisodes, r.Ctrl.MaxApplications)
-	}
-	sc := r.Scorecard
-	fmt.Printf("scorecard:          detected=%v (%s, +%.0fs) mitigated=%v (%s, +%.0fs) reverted=%v\n",
-		sc.Detected, sc.DetectKind, sc.TimeToDetect, sc.Mitigated, sc.MitigateKind, sc.TimeToMitigate, sc.Reverted)
-	fmt.Printf("recovery:           recovered=%v time-to-recover=%.0fs steady-state deviation %+.1f%%\n",
-		sc.Recovered, sc.TimeToRecover, 100*sc.SteadyStateDeviation)
-	fmt.Println()
-	for _, a := range r.Actions {
-		fmt.Println("action:", a)
+// runChaos returns the runner of one chaos scenario, narrated by desc.
+func runChaos(desc string, fn func(experiments.Env, uint64) (*experiments.ChaosResult, error)) func(experiments.Env, uint64) {
+	return func(env experiments.Env, seed uint64) {
+		fmt.Println("scenario:", desc)
+		fmt.Println()
+		r, err := fn(env, seed)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "outlierlb:", err)
+			os.Exit(1)
+		}
+		fmt.Printf("target replica:     %s\n", r.Target)
+		fmt.Printf("healthy latency:    %.3fs\n", r.HealthyLatency)
+		fmt.Printf("fault latency:      %.3fs\n", r.FaultLatency)
+		fmt.Printf("recovered latency:  %.3fs\n", r.FinalLatency)
+		fmt.Printf("client errors:      %d\n", r.ClientErrors)
+		fmt.Printf("breaker trips:      %d (probes %d, recoveries %d)\n", r.BreakerTrips, r.Probes, r.Recoveries)
+		fmt.Printf("read retries:       %d\n", r.Retries)
+		fmt.Printf("degraded analyses:  %d\n", r.DegradedEvents)
+		fmt.Printf("capacity actions:   %d provision(s), %d shrink(s)\n", r.Provisions, r.Shrinks)
+		fmt.Printf("target ended run:   healthy=%v\n", r.TargetHealthy)
+		if r.CtrlSent > 0 {
+			fmt.Printf("control channel:    %d sent, %d dropped, %d duplicated\n",
+				r.CtrlSent, r.CtrlDropped, r.CtrlDuplicated)
+			fmt.Printf("control protocol:   epoch %d, %d retries, %d dup-suppressed, %d stale-epoch rejections, %d abandoned\n",
+				r.Ctrl.Epoch, r.Ctrl.Retries, r.Ctrl.DupSuppressed, r.Ctrl.EpochRejections, r.Ctrl.Abandoned)
+			fmt.Printf("failure detector:   %d unreachable declaration(s), %d autonomy episode(s), max applications per action %d\n",
+				r.CtrlUnreachableEvents, r.Ctrl.AutonomyEpisodes, r.Ctrl.MaxApplications)
+		}
+		sc := r.Scorecard
+		fmt.Printf("scorecard:          detected=%v (%s, +%.0fs) mitigated=%v (%s, +%.0fs) reverted=%v\n",
+			sc.Detected, sc.DetectKind, sc.TimeToDetect, sc.Mitigated, sc.MitigateKind, sc.TimeToMitigate, sc.Reverted)
+		fmt.Printf("recovery:           recovered=%v time-to-recover=%.0fs steady-state deviation %+.1f%%\n",
+			sc.Recovered, sc.TimeToRecover, 100*sc.SteadyStateDeviation)
+		fmt.Println()
+		for _, a := range r.Actions {
+			fmt.Println("action:", a)
+		}
 	}
 }
 
-func runOverload(seed uint64) {
+func runOverload(env experiments.Env, seed uint64) {
 	fmt.Println("scenario: a 2x load pulse on a fully allocated cluster; admission control")
 	fmt.Println("sheds the lowest-impact query classes until the SLA recovers, then readmits them")
 	fmt.Println()
-	r, err := experiments.Overload(seed)
+	r, err := env.Overload(seed)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "outlierlb:", err)
 		os.Exit(1)
@@ -370,11 +360,11 @@ func runOverload(seed uint64) {
 	}
 }
 
-func runLockContention(seed uint64) {
+func runLockContention(env experiments.Env, seed uint64) {
 	fmt.Println("scenario: a write query invoked with wrong arguments convoys the accounts table")
 	fmt.Println("(the paper's §7 future work: outlier detection for lock contention)")
 	fmt.Println()
-	r := experiments.LockContention(seed)
+	r := env.LockContention(seed)
 	fmt.Printf("stable latency:    %.3fs\n", r.StableLatency)
 	fmt.Printf("contended latency: %.3fs (%.0fx)\n", r.ContendedLatency, r.ContendedLatency/r.StableLatency)
 	fmt.Println()
@@ -386,11 +376,11 @@ func runLockContention(seed uint64) {
 	}
 }
 
-func runCPU(seed uint64) {
+func runCPU(env experiments.Env, seed uint64) {
 	fmt.Println("scenario: sinusoid client load against TPC-W (§5.2)")
 	fmt.Println("the controller provisions replicas on CPU saturation and releases them at the trough")
 	fmt.Println()
-	r := experiments.Figure3(seed)
+	r := env.Figure3(seed)
 	for i := range r.Times {
 		if i%6 != 0 && r.Latency[i] <= r.SLA {
 			continue
@@ -408,10 +398,10 @@ func runCPU(seed uint64) {
 	}
 }
 
-func runIndexDrop(seed uint64) {
+func runIndexDrop(env experiments.Env, seed uint64) {
 	fmt.Println("scenario: the O_DATE index is dropped; BestSeller degrades to a table scan (§5.3)")
 	fmt.Println()
-	r := experiments.Figure4(seed)
+	r := env.Figure4(seed)
 	fmt.Println("per-class ratios vs stable state (latency / throughput / misses / read-ahead):")
 	for i, c := range r.Classes {
 		fmt.Printf("  %2d %-22s %7.2f %7.2f %7.2f %10.2f\n", i+1, c,
@@ -419,15 +409,15 @@ func runIndexDrop(seed uint64) {
 	}
 	fmt.Printf("\noutlier contexts on memory counters: %v\n", r.MemoryOutliers)
 	fmt.Printf("MRC recomputation confirms: %v\n", r.Confirmed)
-	quota, migrate := experiments.AblationQuotaVsMigrate(seed)
+	quota, migrate := env.AblationQuotaVsMigrate(seed)
 	fmt.Printf("\nremedies: quota keeps 1 machine at %.3fs avg; migration spends %d machines for %.3fs\n",
 		quota.FinalLatency, migrate.ServersUsed, migrate.FinalLatency)
 }
 
-func runConsolidation(seed uint64) {
+func runConsolidation(env experiments.Env, seed uint64) {
 	fmt.Println("scenario: RUBiS starts inside TPC-W's database engine, sharing its buffer pool (§5.4)")
 	fmt.Println()
-	r := experiments.Table2(seed)
+	r := env.Table2(seed)
 	for _, row := range r.Rows {
 		fmt.Printf("%-38s latency=%6.3fs WIPS=%6.2f\n", row.Placement, row.Latency, row.WIPS)
 	}
@@ -438,10 +428,10 @@ func runConsolidation(seed uint64) {
 	fmt.Printf("\nthe diagnosis rescheduled %q onto a different replica\n", r.MovedClass)
 }
 
-func runIOContention(seed uint64) {
+func runIOContention(env experiments.Env, seed uint64) {
 	fmt.Println("scenario: two RUBiS instances in two Xen domains on one physical server (§5.5)")
 	fmt.Println()
-	r := experiments.Table3(seed)
+	r := env.Table3(seed)
 	for _, row := range r.Rows {
 		fmt.Printf("domain-1=%-8s domain-2=%-22s latency=%6.3fs WIPS=%6.2f\n",
 			row.Domain1, row.Domain2, row.Latency, row.WIPS)

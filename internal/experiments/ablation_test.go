@@ -6,7 +6,8 @@ func TestAblationQuotaVsMigrateTradeoff(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long scenario")
 	}
-	quota, migrate := AblationQuotaVsMigrate(1)
+	t.Parallel()
+	quota, migrate := Env{}.AblationQuotaVsMigrate(1)
 	// The §3.3.2 trade-off: the quota holds the application on one
 	// machine; migration spends a second machine for lower latency.
 	if quota.ServersUsed != 1 {
@@ -30,7 +31,8 @@ func TestAblationFineVsCoarse(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long scenario")
 	}
-	fine, coarse := AblationFineVsCoarse(1)
+	t.Parallel()
+	fine, coarse := Env{}.AblationFineVsCoarse(1)
 	// Both policies eventually restore the victim.
 	if fine.RecoverySeconds < 0 {
 		t.Errorf("fine-grained policy never recovered")
@@ -52,7 +54,8 @@ func TestAblationFencesSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long scenario")
 	}
-	pts := AblationFences(1)
+	t.Parallel()
+	pts := Env{}.AblationFences(1)
 	if len(pts) == 0 {
 		t.Fatal("no sweep points")
 	}
@@ -74,7 +77,8 @@ func TestAblationMidpointVsQuota(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long scenario")
 	}
-	r := AblationMidpointVsQuota(1)
+	t.Parallel()
+	r := Env{}.AblationMidpointVsQuota(1)
 	// Engine-level scan resistance does not fix cross-class interference
 	// here: the unindexed BestSeller cycles and re-touches pages, so its
 	// pollution gets promoted past the midpoint. The quota is what
@@ -99,7 +103,8 @@ func TestAblationSyncVsAsync(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long scenario")
 	}
-	sync, async := AblationSyncVsAsync(1)
+	t.Parallel()
+	sync, async := Env{}.AblationSyncVsAsync(1)
 	// On a heterogeneous cluster, synchronous ROWA is bound by the
 	// straggler on every write; async hides it.
 	if async.AvgLatency >= sync.AvgLatency/2 {
@@ -114,7 +119,8 @@ func TestAblationWeighting(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long scenario")
 	}
-	r := AblationWeighting(1)
+	t.Parallel()
+	r := Env{}.AblationWeighting(1)
 	if !r.WeightedHasCulprit {
 		t.Fatalf("weighted detection missed BestSeller: %v", r.WeightedOutliers)
 	}
@@ -131,7 +137,8 @@ func TestAblationOutlierVsTopKFocus(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long scenario")
 	}
-	r := AblationOutlierVsTopK(1)
+	t.Parallel()
+	r := Env{}.AblationOutlierVsTopK(1)
 	if !r.OutlierFoundBestSeller {
 		t.Error("outlier detection missed the culprit")
 	}

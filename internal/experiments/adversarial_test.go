@@ -39,8 +39,8 @@ func TestAdversarialByzantineMetrics(t *testing.T) {
 	if testing.Short() {
 		t.Skip("adversarial scenarios run minutes of virtual time")
 	}
-	for _, seed := range chaosSeeds {
-		res, err := ChaosByzantineMetrics(seed)
+	forSeeds(t, pinnedSeeds, func(t *testing.T, seed uint64) {
+		res, err := Env{}.ChaosByzantineMetrics(seed)
 		if err != nil {
 			t.Fatalf("seed=%d: %v", seed, err)
 		}
@@ -48,7 +48,7 @@ func TestAdversarialByzantineMetrics(t *testing.T) {
 		if res.DegradedEvents == 0 {
 			t.Errorf("seed=%d: no degraded-analysis narration for the lying replica", seed)
 		}
-	}
+	})
 }
 
 // TestAdversarialSnapshotCorruption: the target engine's snapshots
@@ -59,8 +59,8 @@ func TestAdversarialSnapshotCorruption(t *testing.T) {
 	if testing.Short() {
 		t.Skip("adversarial scenarios run minutes of virtual time")
 	}
-	for _, seed := range chaosSeeds {
-		res, err := ChaosSnapshotCorruption(seed)
+	forSeeds(t, pinnedSeeds, func(t *testing.T, seed uint64) {
+		res, err := Env{}.ChaosSnapshotCorruption(seed)
 		if err != nil {
 			t.Fatalf("seed=%d: %v", seed, err)
 		}
@@ -68,7 +68,7 @@ func TestAdversarialSnapshotCorruption(t *testing.T) {
 		if res.DegradedEvents == 0 {
 			t.Errorf("seed=%d: no degraded-analysis narration for the corrupted snapshots", seed)
 		}
-	}
+	})
 }
 
 // TestAdversarialClockSkew: the controller's own clock jumps forward
@@ -80,8 +80,8 @@ func TestAdversarialClockSkew(t *testing.T) {
 	if testing.Short() {
 		t.Skip("adversarial scenarios run minutes of virtual time")
 	}
-	for _, seed := range chaosSeeds {
-		res, err := ChaosClockSkew(seed)
+	forSeeds(t, pinnedSeeds, func(t *testing.T, seed uint64) {
+		res, err := Env{}.ChaosClockSkew(seed)
 		if err != nil {
 			t.Fatalf("seed=%d: %v", seed, err)
 		}
@@ -95,5 +95,5 @@ func TestAdversarialClockSkew(t *testing.T) {
 		if anomalies == 0 {
 			t.Errorf("seed=%d: no clock-anomaly degraded-analysis events; the skew went unnoticed", seed)
 		}
-	}
+	})
 }

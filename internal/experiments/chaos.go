@@ -84,10 +84,10 @@ const (
 	chaosThink    = 1.0
 )
 
-// chaosOpts extends runChaos for the adversarial scenarios: mutate
-// edits the controller config before the testbed is built (nil leaves
-// the shared chaos config untouched, byte-for-byte), and inject gets
-// the whole testbed so faults can target the controller's clock or the
+// chaosOpts configures runChaos: mutate edits the controller config
+// before the testbed is built (nil leaves the shared chaos config
+// untouched, byte-for-byte), and inject gets the whole testbed so
+// faults can target the controller's clock, the control channel or the
 // target replica's engine, not just its server.
 type chaosOpts struct {
 	// name labels the run's scorecard (RESIL_*.json scenario field).
@@ -105,22 +105,11 @@ type chaosOpts struct {
 }
 
 // runChaos builds the shared chaos testbed — TPC-W on two of three
-// servers, health management on, controller ticking — lets inject
-// schedule faults against the second replica, runs to endAt and collects
-// the result. The fault window [faultAt, clearAt] only shapes the
-// latency windows; the injected fault decides what actually happens.
-func runChaos(seed uint64, name string, faultAt, clearAt, endAt float64,
-	inject func(in *faults.Injector, target *cluster.Replica)) (*ChaosResult, error) {
-	return runChaosOpts(seed, faultAt, clearAt, endAt, chaosOpts{
-		name: name,
-		inject: func(in *faults.Injector, _ *testbed, target *cluster.Replica) {
-			inject(in, target)
-		},
-	})
-}
-
-// runChaosOpts is runChaos with the adversarial extension points.
-func runChaosOpts(seed uint64, faultAt, clearAt, endAt float64, opts chaosOpts) (*ChaosResult, error) {
+// servers, health management on, controller ticking — lets opts.inject
+// schedule faults, runs to endAt and collects the result. The fault
+// window [faultAt, clearAt] only shapes the latency windows; the
+// injected fault decides what actually happens.
+func (e Env) runChaos(seed uint64, faultAt, clearAt, endAt float64, opts chaosOpts) (*ChaosResult, error) {
 	cfg := core.Config{
 		Interval:        chaosInterval,
 		SettleIntervals: 3,
@@ -139,12 +128,8 @@ func runChaosOpts(seed uint64, faultAt, clearAt, endAt float64, opts chaosOpts) 
 	if opts.mutate != nil {
 		opts.mutate(&cfg)
 	}
-	tb := newTestbed(seed, 3, 2*PoolPages, cfg)
-	rec := obs.NewRecorder(1 << 14)
-	observer := obs.Tee(rec, obsHooks.observer)
-	tb.ctl.SetObserver(observer)
-	tb.mgr.Observer = observer
-	tb.mgr.Clock = func() float64 { return tb.sim.Now().Seconds() }
+	tb := e.newTestbed(seed, 3, 2*PoolPages, cfg)
+	rec, observer := tb.record(nil)
 
 	app := tpcw.New(tb.sim.RNG().Fork(), tpcw.Options{})
 	sched := tb.startApp(app)
@@ -257,12 +242,14 @@ func runChaosOpts(seed uint64, faultAt, clearAt, endAt float64, opts chaosOpts) 
 // so consecutive counting would never fire), reads drain to the healthy
 // replica, and half-open probes re-admit the replica once the disk
 // recovers and its backlog drains.
-func ChaosGrayFailure(seed uint64) (*ChaosResult, error) {
+func (e Env) ChaosGrayFailure(seed uint64) (*ChaosResult, error) {
 	const faultAt, clearAt, endAt = 200.0, 400.0, 600.0
-	return runChaos(seed, "gray-failure", faultAt, clearAt, endAt,
-		func(in *faults.Injector, target *cluster.Replica) {
+	return e.runChaos(seed, faultAt, clearAt, endAt, chaosOpts{
+		name: "gray-failure",
+		inject: func(in *faults.Injector, _ *testbed, target *cluster.Replica) {
 			in.GrayFailure(target.Server(), faultAt, clearAt, 8)
-		})
+		},
+	})
 }
 
 // ChaosFlapping cycles one replica down/up (≈15 s down, ≈15 s up, ±2 s
@@ -270,12 +257,14 @@ func ChaosGrayFailure(seed uint64) (*ChaosResult, error) {
 // few consecutive timeouts, probes during up phases re-admit it, and the
 // controller's stable-streak guard keeps the capacity allocation from
 // oscillating with the flaps.
-func ChaosFlapping(seed uint64) (*ChaosResult, error) {
+func (e Env) ChaosFlapping(seed uint64) (*ChaosResult, error) {
 	const faultAt, clearAt, endAt = 200.0, 320.0, 500.0
-	return runChaos(seed, "flapping", faultAt, clearAt, endAt,
-		func(in *faults.Injector, target *cluster.Replica) {
+	return e.runChaos(seed, faultAt, clearAt, endAt, chaosOpts{
+		name: "flapping",
+		inject: func(in *faults.Injector, _ *testbed, target *cluster.Replica) {
 			in.Flap(target, faultAt, clearAt, 15, 15, 2)
-		})
+		},
+	})
 }
 
 // ChaosMetricBlackout makes one server's monitoring unreachable for
@@ -283,10 +272,12 @@ func ChaosFlapping(seed uint64) (*ChaosResult, error) {
 // controller must skip analysis for the dark server — narrating the
 // degradation — rather than mistake absent metrics for an idle machine
 // or diagnose outliers from data that does not exist.
-func ChaosMetricBlackout(seed uint64) (*ChaosResult, error) {
+func (e Env) ChaosMetricBlackout(seed uint64) (*ChaosResult, error) {
 	const faultAt, clearAt, endAt = 200.0, 350.0, 500.0
-	return runChaos(seed, "metric-blackout", faultAt, clearAt, endAt,
-		func(in *faults.Injector, target *cluster.Replica) {
+	return e.runChaos(seed, faultAt, clearAt, endAt, chaosOpts{
+		name: "metric-blackout",
+		inject: func(in *faults.Injector, _ *testbed, target *cluster.Replica) {
 			in.MetricBlackout(target.Server(), faultAt, clearAt)
-		})
+		},
+	})
 }

@@ -1,13 +1,34 @@
 package experiments
 
 import (
+	"fmt"
 	"testing"
 )
 
-// chaosSeeds pins the seeds the chaos suite runs under; the scenarios
-// are deterministic, so any behavioural drift under these seeds is a
-// real change, not noise.
-var chaosSeeds = []uint64{1, 2, 3}
+// pinnedSeeds are the seeds every multi-seed sweep runs under; the
+// scenarios are deterministic, so any behavioural drift under these
+// seeds is a real change, not noise.
+var pinnedSeeds = []uint64{1, 2, 3}
+
+// seedsFor returns the pinned seeds, cut to the first n in short mode.
+func seedsFor(n int) []uint64 {
+	if testing.Short() {
+		return pinnedSeeds[:n]
+	}
+	return pinnedSeeds
+}
+
+// forSeeds marks t parallel and runs body once per seed as parallel
+// "seed=N" subtests: runs share nothing, so the seeds may run at once.
+func forSeeds(t *testing.T, seeds []uint64, body func(t *testing.T, seed uint64)) {
+	t.Parallel()
+	for _, seed := range seeds {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			t.Parallel()
+			body(t, seed)
+		})
+	}
+}
 
 // assertChaosInvariants checks the claims every chaos scenario makes
 // regardless of the injected fault: clients never see an error, latency
@@ -41,8 +62,8 @@ func TestChaosGrayFailure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("covered by TestChaosSmoke in short mode")
 	}
-	for _, seed := range chaosSeeds {
-		r, err := ChaosGrayFailure(seed)
+	forSeeds(t, pinnedSeeds, func(t *testing.T, seed uint64) {
+		r, err := Env{}.ChaosGrayFailure(seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,15 +81,15 @@ func TestChaosGrayFailure(t *testing.T) {
 		if r.Retries == 0 {
 			t.Errorf("gray seed=%d: no reads were retried off the slow replica", seed)
 		}
-	}
+	})
 }
 
 func TestChaosFlapping(t *testing.T) {
 	if testing.Short() {
 		t.Skip("covered by TestChaosSmoke in short mode")
 	}
-	for _, seed := range chaosSeeds {
-		r, err := ChaosFlapping(seed)
+	forSeeds(t, pinnedSeeds, func(t *testing.T, seed uint64) {
+		r, err := Env{}.ChaosFlapping(seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,15 +106,15 @@ func TestChaosFlapping(t *testing.T) {
 		if r.Shrinks != 0 {
 			t.Errorf("flap seed=%d: controller shrank capacity mid-flap", seed)
 		}
-	}
+	})
 }
 
 func TestChaosMetricBlackout(t *testing.T) {
 	if testing.Short() {
 		t.Skip("covered by TestChaosSmoke in short mode")
 	}
-	for _, seed := range chaosSeeds {
-		r, err := ChaosMetricBlackout(seed)
+	forSeeds(t, pinnedSeeds, func(t *testing.T, seed uint64) {
+		r, err := Env{}.ChaosMetricBlackout(seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +129,7 @@ func TestChaosMetricBlackout(t *testing.T) {
 			t.Errorf("blackout seed=%d: %d outlier diagnoses for the blacked-out server, want 0",
 				seed, r.TargetOutlierDiagnoses)
 		}
-	}
+	})
 }
 
 // TestChaosDeterminism reruns one scenario under the same seed and
@@ -119,9 +140,10 @@ func TestChaosDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping determinism rerun in short mode")
 	}
+	t.Parallel()
 	var runs [2][]byte
 	for i := range runs {
-		r, err := ChaosFlapping(chaosSeeds[0])
+		r, err := Env{}.ChaosFlapping(pinnedSeeds[0])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,10 +157,11 @@ func TestChaosDeterminism(t *testing.T) {
 // TestChaosSmoke is the seed-pinned short-mode run wired into ci.sh:
 // one gray-failure and one flapping run, core invariants only.
 func TestChaosSmoke(t *testing.T) {
-	for name, fn := range map[string]func(uint64) (*ChaosResult, error){
-		"gray": ChaosGrayFailure, "flap": ChaosFlapping,
+	t.Parallel()
+	for name, fn := range map[string]func(Env, uint64) (*ChaosResult, error){
+		"gray": Env.ChaosGrayFailure, "flap": Env.ChaosFlapping,
 	} {
-		r, err := fn(chaosSeeds[0])
+		r, err := fn(Env{}, pinnedSeeds[0])
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -36,8 +36,8 @@ func TestChaosCtrlPartition(t *testing.T) {
 	if testing.Short() {
 		t.Skip("control-channel chaos runs minutes of virtual time")
 	}
-	for _, seed := range chaosSeeds {
-		r, err := ChaosCtrlPartition(seed)
+	forSeeds(t, pinnedSeeds, func(t *testing.T, seed uint64) {
+		r, err := Env{}.ChaosCtrlPartition(seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,15 +59,15 @@ func TestChaosCtrlPartition(t *testing.T) {
 		if r.CtrlDropped == 0 {
 			t.Errorf("ctrl-partition seed=%d: partition dropped no messages", seed)
 		}
-	}
+	})
 }
 
 func TestChaosCtrlAsymPartition(t *testing.T) {
 	if testing.Short() {
 		t.Skip("control-channel chaos runs minutes of virtual time")
 	}
-	for _, seed := range chaosSeeds {
-		r, err := ChaosCtrlAsymPartition(seed)
+	forSeeds(t, pinnedSeeds, func(t *testing.T, seed uint64) {
+		r, err := Env{}.ChaosCtrlAsymPartition(seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,15 +83,15 @@ func TestChaosCtrlAsymPartition(t *testing.T) {
 			t.Errorf("ctrl-asym seed=%d: %d autonomy episodes; heartbeats still reached the engine, its lease must not lapse",
 				seed, r.Ctrl.AutonomyEpisodes)
 		}
-	}
+	})
 }
 
 func TestChaosCtrlLossy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("control-channel chaos runs minutes of virtual time")
 	}
-	for _, seed := range chaosSeeds {
-		r, err := ChaosCtrlLossy(seed)
+	forSeeds(t, pinnedSeeds, func(t *testing.T, seed uint64) {
+		r, err := Env{}.ChaosCtrlLossy(seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,15 +114,15 @@ func TestChaosCtrlLossy(t *testing.T) {
 			t.Errorf("ctrl-lossy seed=%d: max applications per action = %d, want exactly 1",
 				seed, r.Ctrl.MaxApplications)
 		}
-	}
+	})
 }
 
 func TestChaosCtrlDelayedSnapshots(t *testing.T) {
 	if testing.Short() {
 		t.Skip("control-channel chaos runs minutes of virtual time")
 	}
-	for _, seed := range chaosSeeds {
-		r, err := ChaosCtrlDelayedSnapshots(seed)
+	forSeeds(t, pinnedSeeds, func(t *testing.T, seed uint64) {
+		r, err := Env{}.ChaosCtrlDelayedSnapshots(seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,5 +143,5 @@ func TestChaosCtrlDelayedSnapshots(t *testing.T) {
 			t.Errorf("ctrl-delayed seed=%d: %d autonomy episodes; heartbeats were delivered, leases must hold",
 				seed, r.Ctrl.AutonomyEpisodes)
 		}
-	}
+	})
 }

@@ -21,10 +21,10 @@ func TestCtrlLossyDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("double chaos runs are slow; run without -short")
 	}
-	for _, seed := range chaosSeeds {
+	forSeeds(t, pinnedSeeds, func(t *testing.T, seed uint64) {
 		var fps [2][]byte
 		for i := range fps {
-			r, err := ChaosCtrlLossy(seed)
+			r, err := Env{}.ChaosCtrlLossy(seed)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -33,7 +33,7 @@ func TestCtrlLossyDeterminism(t *testing.T) {
 		if string(fps[0]) != string(fps[1]) {
 			t.Errorf("seed=%d: lossy-channel runs diverge across identical seeds", seed)
 		}
-	}
+	})
 }
 
 // TestCtrlNetMessageTraffic checks which path actually runs: a perfect
@@ -44,11 +44,13 @@ func TestCtrlLossyDeterminism(t *testing.T) {
 // scenarios and the pinned goldens, which assume the default channel
 // adds no events.
 func TestCtrlNetMessageTraffic(t *testing.T) {
-	// run drives a controller over the channel for a few ticks and
-	// returns the channel's stats plus the KindMessage event count on the
-	// simulation queue.
-	run := func() (ctrlnet.Stats, uint64) {
-		tb := newTestbed(1, 2, PoolPages, core.Config{Interval: 10})
+	t.Parallel()
+	// run drives a controller over a channel with the given default link
+	// for a few ticks and returns the channel's stats plus the
+	// KindMessage event count on the simulation queue.
+	run := func(link ctrlnet.Config) (ctrlnet.Stats, uint64) {
+		tb := Env{}.newTestbed(1, 2, PoolPages, core.Config{Interval: 10})
+		tb.net.SetDefaults(link)
 		app := tpcw.New(tb.sim.RNG().Fork(), tpcw.Options{})
 		sched := tb.startApp(app)
 		em := tb.emulate(sched, tpcw.Mix(), 1.0, workload.Constant(30))
@@ -59,7 +61,7 @@ func TestCtrlNetMessageTraffic(t *testing.T) {
 		return tb.net.Stats(), tb.sim.QueueStats().PerKind[simcore.KindMessage]
 	}
 
-	ns, events := run()
+	ns, events := run(ctrlnet.Config{})
 	if ns.Sent == 0 || ns.InlineDelivered == 0 {
 		t.Errorf("perfect channel carried no inline traffic (sent=%d inline=%d); the control plane is not routed through it",
 			ns.Sent, ns.InlineDelivered)
@@ -68,9 +70,7 @@ func TestCtrlNetMessageTraffic(t *testing.T) {
 		t.Errorf("perfect channel scheduled %d KindMessage events; inline delivery is broken", events)
 	}
 
-	SetCtrlLink(ctrlnet.Config{Latency: 0.01})
-	t.Cleanup(func() { SetCtrlLink(ctrlnet.Config{}) })
-	ns, events = run()
+	ns, events = run(ctrlnet.Config{Latency: 0.01})
 	if events == 0 || ns.InlineDelivered != 0 {
 		t.Errorf("latency-bearing channel: %d KindMessage events, %d inline deliveries; control traffic is not going over the network",
 			events, ns.InlineDelivered)

@@ -16,19 +16,19 @@ import (
 // the one place an operator thread writes controller state concurrently
 // with in-flight message delivery; the test is meaningful under -race
 // (ci.sh runs the whole suite with the detector on) and otherwise just
-// checks the run survives the interference.
+// checks the run survives the interference. Its spinning hammer holds a
+// core, so the test is not marked parallel.
 func TestCtrlDebugEndpointsRace(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos scenario: skipped in -short")
 	}
 	var mu sync.Mutex
 	var ctls []*core.Controller
-	SetObsHooks(nil, func(ctl *core.Controller, mgr *cluster.Manager, s *sim.Engine) {
+	env := Env{OnTestbed: func(ctl *core.Controller, _ *cluster.Manager, _ *sim.Engine) {
 		mu.Lock()
 		ctls = append(ctls, ctl)
 		mu.Unlock()
-	})
-	defer SetObsHooks(nil, nil)
+	}}
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -57,7 +57,7 @@ func TestCtrlDebugEndpointsRace(t *testing.T) {
 		}
 	}()
 
-	_, err := ChaosCtrlLossy(1)
+	_, err := env.ChaosCtrlLossy(1)
 	close(stop)
 	wg.Wait()
 	if err != nil {

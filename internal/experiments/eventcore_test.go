@@ -9,21 +9,6 @@ import (
 	"outlierlb/internal/simcore"
 )
 
-// eventCoreSeeds are the pinned seeds of the determinism sweep; short
-// mode (the ci.sh event-core smoke) runs the first two, the full run
-// all three.
-var eventCoreSeeds = []uint64{1, 2, 3}
-
-// fig4Fingerprint runs the §5.3 diagnosis scenario with every query
-// traced and returns the byte-exact JSON of its result (metric ratios,
-// outlier sets, SLA interval — all projections of the engines' metrics
-// snapshots) and of every retained span tree.
-func fig4Fingerprint(t *testing.T, seed uint64) (result, spans []byte) {
-	t.Helper()
-	traces, _ := withTracer(4096, func() { result = mustJSON(t, Figure4(seed)) })
-	return result, mustJSON(t, traces)
-}
-
 // TestEventCoreDeterminism runs the same scenario twice through the
 // event core under pinned seeds and asserts byte-identical metrics
 // snapshots and span trees — the determinism guarantee the tentpole
@@ -31,13 +16,9 @@ func fig4Fingerprint(t *testing.T, seed uint64) (result, spans []byte) {
 // no room for replay divergence. The first run of each seed must also
 // match the pinned goldens.
 func TestEventCoreDeterminism(t *testing.T) {
-	seeds := eventCoreSeeds
-	if testing.Short() {
-		seeds = seeds[:2]
-	}
-	for _, seed := range seeds {
-		res1, spans1 := fig4Fingerprint(t, seed)
-		res2, spans2 := fig4Fingerprint(t, seed)
+	forSeeds(t, seedsFor(2), func(t *testing.T, seed uint64) {
+		res1, spans1 := fingerprint(t, Env{}, Env.Figure4, seed)
+		res2, spans2 := fingerprint(t, Env{}, Env.Figure4, seed)
 		checkGolden(t, "fig4", seed, res1, spans1)
 		if string(res1) != string(res2) {
 			t.Errorf("seed=%d: metrics snapshots diverge across identical runs:\n%s\nvs\n%s", seed, res1, res2)
@@ -45,20 +26,18 @@ func TestEventCoreDeterminism(t *testing.T) {
 		if string(spans1) != string(spans2) {
 			t.Errorf("seed=%d: span trees diverge across identical runs", seed)
 		}
-	}
+	})
 }
 
 // TestEventCorePhaseTraffic checks the engines commit every service
 // phase through their event queues: the queue statistics report
 // phase-complete traffic and nothing else, fully drained.
 func TestEventCorePhaseTraffic(t *testing.T) {
+	t.Parallel()
 	var mgrs []*cluster.Manager
-	SetObsHooks(nil, func(ctl *core.Controller, mgr *cluster.Manager, s *sim.Engine) {
+	Env{OnTestbed: func(_ *core.Controller, mgr *cluster.Manager, _ *sim.Engine) {
 		mgrs = append(mgrs, mgr)
-	})
-	defer SetObsHooks(nil, nil)
-
-	Figure4(1)
+	}}.Figure4(1)
 
 	var total simcore.Stats
 	for _, mgr := range mgrs {

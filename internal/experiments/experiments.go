@@ -4,11 +4,15 @@
 // programs all call into this package, so the numbers they report come
 // from one implementation of each scenario.
 //
-// Concurrency: scenario functions are sequential and must not run
-// concurrently with each other — the Set* hooks (SetObsHooks, SetTracer,
-// SetCtrlLink, SetArrivalHook, SetReplay) are process-global precisely
-// because scenarios take only a seed. A scenario itself runs entirely
-// on the calling goroutine.
+// Every scenario is a method on Env, the run environment: the observer,
+// tracer, arrival hook and replay trace a caller attaches. The zero Env
+// is the plain run; Figure3 alone also exists as a package-level
+// function.
+//
+// Concurrency: a scenario runs entirely on the calling goroutine and
+// the package holds no mutable state, so runs may execute concurrently
+// as long as they do not share what their Envs point at — give each
+// concurrent run its own tracer and its own recorder behind OnArrival.
 package experiments
 
 import (
@@ -53,8 +57,9 @@ func poolConfig(pages int) bufferpool.Config {
 }
 
 // testbed is the shared scaffolding: a simulation, a manager with a
-// server pool, and a controller.
+// server pool, and a controller, built under one run environment.
 type testbed struct {
+	env Env
 	sim *sim.Engine
 	mgr *cluster.Manager
 	ctl *core.Controller
@@ -64,77 +69,42 @@ type testbed struct {
 	cp  *core.ControlPlane
 }
 
-// obsHooks lets callers (the command-line tools) attach observability to
-// the testbeds the scenario functions build internally. The scenario
-// functions take only a seed, so this is deliberately process-global.
-var obsHooks struct {
-	observer  obs.Observer
-	onTestbed func(ctl *core.Controller, mgr *cluster.Manager, s *sim.Engine)
+// Env is the run environment of a scenario: the observability and
+// workload seams the tools and tests attach, read by every testbed the
+// scenario builds. The zero value is the plain run. Each field is
+// optional.
+type Env struct {
+	// Observer receives every testbed's decision-trace events.
+	Observer obs.Observer
+	// OnTestbed receives each testbed's controller, manager and
+	// simulation as it is built (the tools point live diagnosis there).
+	OnTestbed func(ctl *core.Controller, mgr *cluster.Manager, s *sim.Engine)
+	// Tracer samples queries into span trees. It hashes its own seed,
+	// never the simulation RNG, so goldens are unaffected.
+	Tracer *obs.Tracer
+	// OnArrival sees every client submission (cohort, exact virtual
+	// time, class) before the scheduler does; -wl.record puts a
+	// wltemporal.Recorder here.
+	OnArrival func(cohort string, t float64, class metrics.ClassID)
+	// Replay swaps the live load generators for a wltemporal.Replayer
+	// of the trace. RNG fork parity holds for single-application
+	// scenarios; see WORKLOADS.md for the contract.
+	Replay *wltemporal.Trace
 }
 
-// SetObsHooks installs an observer attached to every testbed built after
-// the call, plus an optional callback receiving each testbed's
-// controller, manager and simulation (the tools use it to point live
-// diagnosis at the most recent run). Pass nil, nil to clear.
-func SetObsHooks(o obs.Observer, onTestbed func(ctl *core.Controller, mgr *cluster.Manager, s *sim.Engine)) {
-	obsHooks.observer = o
-	obsHooks.onTestbed = onTestbed
-}
-
-// tracer is the query tracer handed to every testbed built after
-// SetTracer. Process-global for the same reason as the observability
-// hooks: scenario functions take only a seed.
-var tracer *obs.Tracer
-
-// SetTracer installs a span tracer on every subsequently built testbed:
-// schedulers start query root spans through it and engines attach
-// exec/cpu/disk child spans. Sampling draws on the tracer's own seeded
-// hash, not the simulation RNG, so goldens are unaffected. Pass nil to
-// clear.
-func SetTracer(t *obs.Tracer) { tracer = t }
-
-// ctrlLink is the default link characteristics of every control channel
-// built after SetCtrlLink. The zero Config is the perfect channel.
-var ctrlLink ctrlnet.Config
-
-// SetCtrlLink sets the default link characteristics (latency, jitter,
-// drop, duplication, reordering) of every control channel built after
-// the call.
-func SetCtrlLink(link ctrlnet.Config) { ctrlLink = link }
-
-// arrivalHook, when set, receives every client submission any
-// subsequently run scenario makes — cohort (application) name, exact
-// virtual time, query class — before the scheduler sees it. The tools
-// point a wltemporal.Recorder here (-wl.record) to capture any live run
-// as a workload-trace-v2 file. Process-global for the same reason as
-// the other hooks: scenario functions take only a seed.
-var arrivalHook func(cohort string, t float64, class metrics.ClassID)
-
-// SetArrivalHook installs (or, with nil, clears) the submission hook.
-func SetArrivalHook(fn func(cohort string, t float64, class metrics.ClassID)) {
-	arrivalHook = fn
-}
-
-// replayTrace, when set, swaps every subsequently built emulator for a
-// wltemporal.Replayer feeding the trace's recorded arrivals instead of
-// generating load. Replay preserves RNG fork parity for single-
-// application scenarios (one emulate call, one trace cohort); see
-// WORKLOADS.md for the contract.
-var replayTrace *wltemporal.Trace
-
-// SetReplay installs (or, with nil, clears) a recorded trace to feed in
-// place of generated client load.
-func SetReplay(tr *wltemporal.Trace) { replayTrace = tr }
+// Figure3 runs Env{}.Figure3. It alone stays a package-level function
+// because the pinned benchmark harness in perfbench/ calls it by name.
+func Figure3(seed uint64) *Figure3Result { return Env{}.Figure3(seed) }
 
 // ctrlNetSeed decorrelates the control network's private RNG stream
 // from the simulation's workload stream.
 const ctrlNetSeed = 0x6374726c
 
-func newTestbed(seed uint64, servers, poolPages int, cfg core.Config) *testbed {
+func (e Env) newTestbed(seed uint64, servers, poolPages int, cfg core.Config) *testbed {
 	s := sim.NewEngine(seed)
 	mgr := cluster.NewManager()
 	mgr.PoolConfig = poolConfig(poolPages)
-	mgr.Tracer = tracer
+	mgr.Tracer = e.Tracer
 	for i := 0; i < servers; i++ {
 		mgr.AddServer(newServer(fmt.Sprintf("db%d", i+1), poolPages*2))
 	}
@@ -142,31 +112,40 @@ func newTestbed(seed uint64, servers, poolPages int, cfg core.Config) *testbed {
 	if err != nil {
 		panic(err) // static wiring cannot fail
 	}
-	if obsHooks.observer != nil {
-		ctl.SetObserver(obsHooks.observer)
-		mgr.Observer = obsHooks.observer
-		mgr.Clock = func() float64 { return s.Now().Seconds() }
+	tb := &testbed{env: e, sim: s, mgr: mgr, ctl: ctl}
+	if e.Observer != nil {
+		tb.observe(e.Observer)
 	}
-	if obsHooks.onTestbed != nil {
-		obsHooks.onTestbed(ctl, mgr, s)
+	if e.OnTestbed != nil {
+		e.OnTestbed(ctl, mgr, s)
 	}
-	net := ctrlnet.New(s, seed^ctrlNetSeed)
-	net.SetDefaults(ctrlLink)
-	cp := ctl.AttachControlPlane(net)
-	cp.SetTracer(tracer)
-	return &testbed{sim: s, mgr: mgr, ctl: ctl, net: net, cp: cp}
+	tb.net = ctrlnet.New(s, seed^ctrlNetSeed)
+	tb.cp = ctl.AttachControlPlane(tb.net)
+	tb.cp.SetTracer(e.Tracer)
+	return tb
+}
+
+// observe points the controller and the manager at o.
+func (tb *testbed) observe(o obs.Observer) {
+	tb.ctl.SetObserver(o)
+	tb.mgr.Observer = o
+	tb.mgr.Clock = func() float64 { return tb.sim.Now().Seconds() }
+}
+
+// record attaches a fresh event recorder for the scenario's own
+// results, teed with extra (nil for none) and the environment's
+// observer, and returns the recorder and the combined observer.
+func (tb *testbed) record(extra obs.Observer) (*obs.Recorder, obs.Observer) {
+	rec := obs.NewRecorder(1 << 14)
+	o := obs.Tee(rec, extra, tb.env.Observer)
+	tb.observe(o)
+	return rec, o
 }
 
 // startApp registers app with the manager and provisions its first
 // replica on a free server, returning the scheduler.
 func (tb *testbed) startApp(app *cluster.Application) *cluster.Scheduler {
-	sched, err := cluster.NewScheduler(app)
-	if err != nil {
-		panic(err)
-	}
-	if err := tb.mgr.Register(sched); err != nil {
-		panic(err)
-	}
+	sched := tb.registerApp(app)
 	if _, err := tb.mgr.ProvisionOnFreeServer(app.Name); err != nil {
 		panic(err)
 	}
@@ -199,22 +178,22 @@ type loadgen interface {
 }
 
 // emulate attaches a client load source to sched: a closed-loop
-// emulator normally, or a trace replayer when SetReplay is in effect.
-// Either way the arrival hook (SetArrivalHook) sees every submission
-// under the application's name as its cohort.
+// emulator normally, or a trace replayer when the environment carries a
+// Replay trace. Either way the environment's OnArrival sees every
+// submission under the application's name as its cohort.
 func (tb *testbed) emulate(sched *cluster.Scheduler, mix []workload.MixEntry,
 	think float64, load workload.LoadFunction) loadgen {
 	name := sched.App().Name
-	if replayTrace != nil {
-		rep, err := wltemporal.NewReplayer(tb.sim, replayTrace,
+	if tb.env.Replay != nil {
+		rep, err := wltemporal.NewReplayer(tb.sim, tb.env.Replay,
 			func(cohort string, now float64, class metrics.ClassID) error {
 				if cohort != name {
 					// A multi-application trace: this replayer only feeds
 					// its own application's cohort.
 					return nil
 				}
-				if arrivalHook != nil {
-					arrivalHook(cohort, now, class)
+				if tb.env.OnArrival != nil {
+					tb.env.OnArrival(cohort, now, class)
 				}
 				_, err := sched.Submit(now, class)
 				return err
@@ -227,8 +206,8 @@ func (tb *testbed) emulate(sched *cluster.Scheduler, mix []workload.MixEntry,
 	cfg := workload.Config{
 		Mix: mix, ThinkTime: think, ThinkNoise: 0.3, Load: load,
 	}
-	if arrivalHook != nil {
-		cfg.OnArrival = func(t float64, class metrics.ClassID) { arrivalHook(name, t, class) }
+	if tb.env.OnArrival != nil {
+		cfg.OnArrival = func(t float64, class metrics.ClassID) { tb.env.OnArrival(name, t, class) }
 	}
 	em, err := workload.NewEmulator(tb.sim, sched, cfg)
 	if err != nil {

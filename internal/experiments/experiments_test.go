@@ -17,7 +17,8 @@ func TestFigure3Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long scenario")
 	}
-	r := Figure3(1)
+	t.Parallel()
+	r := Env{}.Figure3(1)
 	if len(r.Times) == 0 {
 		t.Fatal("no samples")
 	}
@@ -67,7 +68,8 @@ func TestFigure4Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long scenario")
 	}
-	r := Figure4(1)
+	t.Parallel()
+	r := Env{}.Figure4(1)
 	if len(r.Classes) != 14 {
 		t.Fatalf("classes = %d", len(r.Classes))
 	}
@@ -129,7 +131,8 @@ func TestFigure5Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long scenario")
 	}
-	r := Figure5(1)
+	t.Parallel()
+	r := Env{}.Figure5(1)
 	if r.Class != tpcw.BestSellerClass {
 		t.Fatalf("class = %q", r.Class)
 	}
@@ -152,7 +155,8 @@ func TestFigure6Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long scenario")
 	}
-	r := Figure6(1)
+	t.Parallel()
+	r := Env{}.Figure6(1)
 	if r.Class != rubis.SearchItemsByRegionClass {
 		t.Fatalf("class = %q", r.Class)
 	}
@@ -166,7 +170,8 @@ func TestTable1Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long scenario")
 	}
-	r := Table1(1)
+	t.Parallel()
+	r := Env{}.Table1(1)
 	// Partitioning must lift the non-BestSeller hit ratio toward its
 	// exclusive ideal...
 	if r.PartitionedRest <= r.SharedRest {
@@ -196,7 +201,8 @@ func TestTable2Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long scenario")
 	}
-	r := Table2(1)
+	t.Parallel()
+	r := Env{}.Table2(1)
 	if len(r.Rows) != 3 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
@@ -225,7 +231,8 @@ func TestTable3Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long scenario")
 	}
-	r := Table3(1)
+	t.Parallel()
+	r := Env{}.Table3(1)
 	if len(r.Rows) != 3 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
@@ -257,7 +264,8 @@ func TestExperimentsDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long scenario")
 	}
-	a, b := Table3(7), Table3(7)
+	t.Parallel()
+	a, b := Env{}.Table3(7), Env{}.Table3(7)
 	for i := range a.Rows {
 		if a.Rows[i] != b.Rows[i] {
 			t.Fatalf("Table3 row %d differs across runs with same seed", i)

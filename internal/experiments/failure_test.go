@@ -10,7 +10,8 @@ func TestFailureRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long scenario")
 	}
-	r, err := FailureRecovery(1)
+	t.Parallel()
+	r, err := Env{}.FailureRecovery(1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,11 +4,6 @@ import (
 	"testing"
 )
 
-// guardSeeds pins the seeds the guard lab runs under; the scenarios are
-// deterministic, so any behavioural drift under these seeds is a real
-// change, not noise.
-var guardSeeds = []uint64{1, 2, 3}
-
 // assertGuardInvariants checks the claims every pathological-policy
 // scenario makes regardless of the template: the watchdog must judge at
 // least one committed action harmful and roll it back while the policy
@@ -79,9 +74,9 @@ func TestGuardWatchdogRevertsPathologies(t *testing.T) {
 	if testing.Short() {
 		t.Skip("guard lab runs minutes of virtual time")
 	}
-	for _, seed := range guardSeeds {
+	forSeeds(t, pinnedSeeds, func(t *testing.T, seed uint64) {
 		for _, tpl := range GuardTemplates() {
-			res, err := GuardScenario(seed, tpl)
+			res, err := Env{}.GuardScenario(seed, tpl)
 			if err != nil {
 				t.Fatalf("%s seed=%d: %v", tpl, seed, err)
 			}
@@ -94,13 +89,14 @@ func TestGuardWatchdogRevertsPathologies(t *testing.T) {
 				tpl, seed, res.Watchdog, res.ProtectedLatency,
 				res.Scorecard.TimeToMitigate, res.Scorecard.TimeToRecover)
 		}
-	}
+	})
 }
 
 // TestGuardScenarioUnknownTemplate pins the error contract callers
 // (cmd/outlierlb, benchrunner) rely on for up-front validation.
 func TestGuardScenarioUnknownTemplate(t *testing.T) {
-	if _, err := GuardScenario(1, "no-such-template"); err == nil {
+	t.Parallel()
+	if _, err := (Env{}).GuardScenario(1, "no-such-template"); err == nil {
 		t.Fatal("GuardScenario accepted an unknown template")
 	}
 }

@@ -19,10 +19,11 @@ func TestLifecycle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long scenario")
 	}
+	t.Parallel()
 	// The coarse fallback is a last resort: give the fine-grained
 	// diagnosis room to collect a full MRC window even under throttled
 	// throughput (the interference slows the very class being measured).
-	tb := newTestbed(1, 4, PoolPages, core.Config{
+	tb := Env{}.newTestbed(1, 4, PoolPages, core.Config{
 		Interval: 10, SettleIntervals: 3, FallbackAfter: 20,
 	})
 

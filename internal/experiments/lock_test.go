@@ -11,7 +11,8 @@ func TestLockContentionDiagnosis(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long scenario")
 	}
-	r := LockContention(1)
+	t.Parallel()
+	r := Env{}.LockContention(1)
 	// The anomaly causes a large, durable latency increase.
 	if r.ContendedLatency < 10*r.StableLatency {
 		t.Fatalf("contention latency %.3f not ≫ stable %.3f", r.ContendedLatency, r.StableLatency)
@@ -38,7 +39,8 @@ func TestLockContentionDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long scenario")
 	}
-	a, b := LockContention(3), LockContention(3)
+	t.Parallel()
+	a, b := Env{}.LockContention(3), Env{}.LockContention(3)
 	if a.StableLatency != b.StableLatency || a.ContendedLatency != b.ContendedLatency ||
 		a.ReportedVictim != b.ReportedVictim {
 		t.Fatal("lock scenario not deterministic")

@@ -182,20 +182,16 @@ func (l *classLatencyLog) mean(class string, from, to float64) float64 {
 }
 
 // Overload runs the overload-protection scenario for one seed.
-func Overload(seed uint64) (*OverloadResult, error) {
-	tb := newTestbed(seed, 2, PoolPages, core.Config{
+func (e Env) Overload(seed uint64) (*OverloadResult, error) {
+	tb := e.newTestbed(seed, 2, PoolPages, core.Config{
 		Interval:        overloadInterval,
 		SettleIntervals: 2,
 		// Coarse isolation needs a free server, which this cluster never
 		// has; the brownout, not the fallback, is the overload response.
 		FallbackAfter: 1000,
 	})
-	rec := obs.NewRecorder(1 << 14)
 	lat := &classLatencyLog{clock: func() float64 { return tb.sim.Now().Seconds() }}
-	observer := obs.Tee(rec, lat, obsHooks.observer)
-	tb.ctl.SetObserver(observer)
-	tb.mgr.Observer = observer
-	tb.mgr.Clock = func() float64 { return tb.sim.Now().Seconds() }
+	rec, _ := tb.record(lat)
 
 	app := overloadApp()
 	sched := tb.startApp(app)

@@ -67,28 +67,27 @@ func checkOverload(t *testing.T, res *OverloadResult) {
 // Every query is traced so result and span trees are checked against
 // the pinned goldens too.
 func TestOverloadProtection(t *testing.T) {
-	for _, seed := range []uint64{1, 2, 3} {
-		var res *OverloadResult
-		traces, _ := withTracer(4096, func() {
-			var err error
-			if res, err = Overload(seed); err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-		})
-		checkGolden(t, "overload", seed, mustJSON(t, res), mustJSON(t, traces))
+	forSeeds(t, pinnedSeeds, func(t *testing.T, seed uint64) {
+		env := traced(Env{}, 4096)
+		res, err := env.Overload(seed)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		checkGolden(t, "overload", seed, mustJSON(t, res), mustJSON(t, env.Tracer.Recent(0)))
 		t.Logf("seed %d: nominal %.3f peak %.3f protected %.3f final %.3f shed=%v resheds=%d readmits=%d shedN=%d",
 			seed, res.NominalLatency, res.PeakLatency, res.ProtectedLatency, res.FinalLatency,
 			res.ShedOrder, res.Resheds, res.Readmits, res.ShedInteractions)
 		checkOverload(t, res)
-	}
+	})
 }
 
 // TestOverloadDeterminism: the same seed must reproduce the same run,
 // byte for byte as JSON.
 func TestOverloadDeterminism(t *testing.T) {
+	t.Parallel()
 	var runs [2][]byte
 	for i := range runs {
-		r, err := Overload(7)
+		r, err := Env{}.Overload(7)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -139,32 +139,20 @@ func flashCohorts() []wltemporal.Cohort {
 	}
 }
 
-// FlashCrowd runs the flash-crowd scenario for one seed. With a trace
-// installed via SetReplay the recorded offered load replaces the live
-// generators, exactly as in the emulator-driven scenarios.
-func FlashCrowd(seed uint64) (*TemporalResult, error) {
-	res, _, err := runFlashCrowd(seed, false, replayTrace)
-	return res, err
-}
-
-// runFlashCrowd is the shared flash-crowd run. With record set it also
-// returns the offered load as a workload-trace-v2; with replay non-nil
-// it feeds the trace through a Replayer instead of driving the
-// generators (RNG fork parity keeps the rest of the run bit-identical —
-// TraceReplayIdentity asserts exactly that).
-func runFlashCrowd(seed uint64, record bool, replay *wltemporal.Trace) (*TemporalResult, *wltemporal.Trace, error) {
-	tb := newTestbed(seed, 2, PoolPages, core.Config{
+// FlashCrowd runs the flash-crowd scenario for one seed. With an Env
+// Replay trace it feeds the trace through a Replayer instead of driving
+// the generators, exactly as the emulator-driven scenarios do (RNG fork
+// parity keeps the rest of the run bit-identical — TraceReplayIdentity
+// asserts exactly that).
+func (e Env) FlashCrowd(seed uint64) (*TemporalResult, error) {
+	tb := e.newTestbed(seed, 2, PoolPages, core.Config{
 		Interval:        temporalInterval,
 		SettleIntervals: 2,
 		FallbackAfter:   1000, // the brownout and provisioning, not coarse isolation
 		ShrinkBelow:     0.25,
 		ShrinkAfter:     3,
 	})
-	rec := obs.NewRecorder(1 << 14)
-	observer := obs.Tee(rec, obsHooks.observer)
-	tb.ctl.SetObserver(observer)
-	tb.mgr.Observer = observer
-	tb.mgr.Clock = func() float64 { return tb.sim.Now().Seconds() }
+	rec, _ := tb.record(nil)
 
 	app := overloadApp()
 	sched := tb.startApp(app)
@@ -177,38 +165,20 @@ func runFlashCrowd(seed uint64, record bool, replay *wltemporal.Trace) (*Tempora
 	}))
 
 	var gen loadgen
-	var wrec *wltemporal.Recorder
-	if replay != nil {
-		rep, err := wltemporal.NewReplayer(tb.sim, replay,
+	if e.Replay != nil {
+		rep, err := wltemporal.NewReplayer(tb.sim, e.Replay,
 			func(cohort string, now float64, class metrics.ClassID) error {
 				_, err := sched.Submit(now, class)
 				return err
 			})
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		gen = rep
 	} else {
-		cfg := wltemporal.Config{}
-		if record || arrivalHook != nil {
-			if record {
-				wrec = wltemporal.NewRecorder()
-				for _, c := range flashCohorts() {
-					wrec.Register(c.Name)
-				}
-			}
-			cfg.OnArrival = func(cohort string, t float64, class metrics.ClassID) {
-				if wrec != nil {
-					wrec.Observe(cohort, t, class)
-				}
-				if arrivalHook != nil {
-					arrivalHook(cohort, t, class)
-				}
-			}
-		}
-		drv, err := wltemporal.NewDriver(tb.sim, sched, flashCohorts(), cfg)
+		drv, err := wltemporal.NewDriver(tb.sim, sched, flashCohorts(), wltemporal.Config{OnArrival: e.OnArrival})
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		gen = drv
 	}
@@ -218,12 +188,8 @@ func runFlashCrowd(seed uint64, record bool, replay *wltemporal.Trace) (*Tempora
 	tb.sim.RunUntil(sim.Time(flashEndAt))
 	gen.Stop()
 
-	res := temporalCollect(tb, sched, rec, gen, "flash-crowd", seed,
-		flashOnset, flashClearAt, flashEndAt)
-	if wrec != nil {
-		return res, wrec.Trace(), nil
-	}
-	return res, nil, nil
+	return temporalCollect(tb, sched, rec, gen, "flash-crowd", seed,
+		flashOnset, flashClearAt, flashEndAt), nil
 }
 
 // Diurnal-shift geometry: closed-loop clients follow a day/night cycle
@@ -248,19 +214,15 @@ const (
 )
 
 // DiurnalShift runs the diurnal-cycle scenario for one seed.
-func DiurnalShift(seed uint64) (*TemporalResult, error) {
-	tb := newTestbed(seed, 2, PoolPages, core.Config{
+func (e Env) DiurnalShift(seed uint64) (*TemporalResult, error) {
+	tb := e.newTestbed(seed, 2, PoolPages, core.Config{
 		Interval:        temporalInterval,
 		SettleIntervals: 2,
 		FallbackAfter:   1000,
 		ShrinkBelow:     0.25,
 		ShrinkAfter:     3,
 	})
-	rec := obs.NewRecorder(1 << 14)
-	observer := obs.Tee(rec, obsHooks.observer)
-	tb.ctl.SetObserver(observer)
-	tb.mgr.Observer = observer
-	tb.mgr.Clock = func() float64 { return tb.sim.Now().Seconds() }
+	rec, _ := tb.record(nil)
 
 	app := overloadApp()
 	sched := tb.startApp(app)
@@ -309,8 +271,8 @@ func olapApp() *cluster.Application {
 }
 
 // OLAPAntagonist runs the co-location scenario for one seed.
-func OLAPAntagonist(seed uint64) (*TemporalResult, error) {
-	tb := newTestbed(seed, 3, 2*PoolPages, core.Config{
+func (e Env) OLAPAntagonist(seed uint64) (*TemporalResult, error) {
+	tb := e.newTestbed(seed, 3, 2*PoolPages, core.Config{
 		Interval:        temporalInterval,
 		SettleIntervals: 3,
 		// Antagonist interference can be too diffuse for a single fine-
@@ -321,11 +283,7 @@ func OLAPAntagonist(seed uint64) (*TemporalResult, error) {
 		ShrinkBelow:   0.25,
 		ShrinkAfter:   3,
 	})
-	rec := obs.NewRecorder(1 << 14)
-	observer := obs.Tee(rec, obsHooks.observer)
-	tb.ctl.SetObserver(observer)
-	tb.mgr.Observer = observer
-	tb.mgr.Clock = func() float64 { return tb.sim.Now().Seconds() }
+	rec, _ := tb.record(nil)
 
 	app := tpcw.New(tb.sim.RNG().Fork(), tpcw.Options{})
 	sched := tb.startApp(app)
@@ -351,11 +309,7 @@ func OLAPAntagonist(seed uint64) (*TemporalResult, error) {
 		Process: &wltemporal.MMPP{Burst: 2, CalmMean: 15, BurstMean: 5},
 		StartAt: olapSurgeAt,
 		StopAt:  olapClearAt,
-	}}, wltemporal.Config{OnArrival: func(cohort string, t float64, class metrics.ClassID) {
-		if arrivalHook != nil {
-			arrivalHook(cohort, t, class)
-		}
-	}})
+	}}, wltemporal.Config{OnArrival: e.OnArrival})
 	if err != nil {
 		return nil, err
 	}
@@ -380,15 +334,30 @@ func OLAPAntagonist(seed uint64) (*TemporalResult, error) {
 // replayed run's result (scorecard and all) and errors on any
 // divergence, so a regression in replay fidelity fails the resilience
 // gate rather than shifting numbers silently.
-func TraceReplayIdentity(seed uint64) (*TemporalResult, error) {
-	orig, tr, err := runFlashCrowd(seed, true, nil)
+func (e Env) TraceReplayIdentity(seed uint64) (*TemporalResult, error) {
+	rec := wltemporal.NewRecorder()
+	for _, c := range flashCohorts() {
+		rec.Register(c.Name)
+	}
+	live := e
+	live.Replay = nil
+	live.OnArrival = func(cohort string, t float64, class metrics.ClassID) {
+		rec.Observe(cohort, t, class)
+		if e.OnArrival != nil {
+			e.OnArrival(cohort, t, class)
+		}
+	}
+	orig, err := live.FlashCrowd(seed)
 	if err != nil {
 		return nil, err
 	}
-	if tr == nil || len(tr.Arrivals) == 0 {
+	tr := rec.Trace()
+	if len(tr.Arrivals) == 0 {
 		return nil, fmt.Errorf("trace-replay-identity: recorded an empty trace")
 	}
-	replayed, _, err := runFlashCrowd(seed, false, tr)
+	replay := e
+	replay.Replay = tr
+	replayed, err := replay.FlashCrowd(seed)
 	if err != nil {
 		return nil, err
 	}

@@ -7,15 +7,20 @@ import (
 	"outlierlb/internal/obs"
 )
 
-// withTracer runs one scenario with a full-sampling tracer installed
-// (the process-global hook the tools use) and hands back the retained
-// traces plus lifetime stats.
-func withTracer(ring int, run func()) ([]*obs.Span, obs.TraceStats) {
-	tr := obs.NewTracer(1, 1.0, ring)
-	SetTracer(tr)
-	defer SetTracer(nil)
-	run()
-	return tr.Recent(0), tr.Stats()
+// traced returns env with a fresh full-sampling tracer (as -trace.sample
+// 1.0 attaches) that retains the last ring finished traces.
+func traced(env Env, ring int) Env {
+	env.Tracer = obs.NewTracer(1, 1.0, ring)
+	return env
+}
+
+// fingerprint runs one scenario under env with every query traced and
+// returns the JSON of its result and of its retained span trees.
+func fingerprint[R any](t *testing.T, env Env, run func(Env, uint64) R, seed uint64) (result, spans []byte) {
+	t.Helper()
+	env = traced(env, 4096)
+	result = mustJSON(t, run(env, seed))
+	return result, mustJSON(t, env.Tracer.Recent(0))
 }
 
 // assertWellFormed validates every retained trace and checks the
@@ -84,23 +89,17 @@ func findSpan(s *obs.Span, id obs.SpanID) *obs.Span {
 // breaker provokes must show up as sibling attempt spans under the
 // query roots, and result and spans must match the pinned goldens.
 func TestTracingChaosWellFormed(t *testing.T) {
-	seeds := chaosSeeds
-	if testing.Short() {
-		seeds = seeds[:1]
-	}
-	for _, seed := range seeds {
-		var result []byte
-		traces, stats := withTracer(2048, func() {
-			r, err := ChaosGrayFailure(seed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if r.Retries == 0 {
-				t.Fatalf("seed=%d: gray failure provoked no retries", seed)
-			}
-			result = mustJSON(t, r)
-		})
-		checkGolden(t, "chaos-gray", seed, result, mustJSON(t, traces))
+	forSeeds(t, seedsFor(1), func(t *testing.T, seed uint64) {
+		env := traced(Env{}, 2048)
+		r, err := env.ChaosGrayFailure(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Retries == 0 {
+			t.Fatalf("seed=%d: gray failure provoked no retries", seed)
+		}
+		traces, stats := env.Tracer.Recent(0), env.Tracer.Stats()
+		checkGolden(t, "chaos-gray", seed, mustJSON(t, r), mustJSON(t, traces))
 		if stats.Sampled != stats.Started {
 			t.Errorf("seed=%d: rate 1.0 sampled %d of %d queries", seed, stats.Sampled, stats.Started)
 		}
@@ -108,7 +107,7 @@ func TestTracingChaosWellFormed(t *testing.T) {
 		if multi == 0 {
 			t.Errorf("seed=%d: no retained trace shows a retry hop (sibling attempt spans)", seed)
 		}
-	}
+	})
 }
 
 // TestTracingOverloadWellFormed traces the overload brownout: every
@@ -120,15 +119,16 @@ func TestTracingOverloadWellFormed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("overload tracing sweep is slow; run without -short")
 	}
-	traces, _ := withTracer(4096, func() {
-		r, err := Overload(chaosSeeds[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.ShedInteractions == 0 {
-			t.Fatal("overload shed nothing; the scenario lost its bite")
-		}
-	})
+	t.Parallel()
+	env := traced(Env{}, 4096)
+	r, err := env.Overload(pinnedSeeds[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.ShedInteractions == 0 {
+		t.Fatal("overload shed nothing; the scenario lost its bite")
+	}
+	traces := env.Tracer.Recent(0)
 	assertWellFormed(t, "overload", traces)
 	admitted := 0
 	for _, root := range traces {
@@ -151,7 +151,10 @@ func TestTracingFigure3PhasePartition(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure-3 tracing run is slow; run without -short")
 	}
-	traces, stats := withTracer(1024, func() { Figure3(1) })
+	t.Parallel()
+	env := traced(Env{}, 1024)
+	env.Figure3(1)
+	traces, stats := env.Tracer.Recent(0), env.Tracer.Stats()
 	if stats.Sampled != stats.Started || stats.Started == 0 {
 		t.Fatalf("rate 1.0 sampled %d of %d queries", stats.Sampled, stats.Started)
 	}
@@ -178,16 +181,16 @@ func TestTracingGoldensUntouched(t *testing.T) {
 	if testing.Short() {
 		t.Skip("double figure-3 run is slow; run without -short")
 	}
-	base := Figure3(1)
-	var traced *Figure3Result
-	withTracer(64, func() { traced = Figure3(1) })
-	if len(base.Latency) != len(traced.Latency) {
-		t.Fatalf("series length changed: %d vs %d", len(base.Latency), len(traced.Latency))
+	t.Parallel()
+	base := Env{}.Figure3(1)
+	got := traced(Env{}, 64).Figure3(1)
+	if len(base.Latency) != len(got.Latency) {
+		t.Fatalf("series length changed: %d vs %d", len(base.Latency), len(got.Latency))
 	}
 	for i := range base.Latency {
-		if base.Latency[i] != traced.Latency[i] || base.Machines[i] != traced.Machines[i] {
+		if base.Latency[i] != got.Latency[i] || base.Machines[i] != got.Machines[i] {
 			t.Fatalf("t=%g: tracing perturbed the run: latency %v vs %v, machines %v vs %v",
-				base.Times[i], base.Latency[i], traced.Latency[i], base.Machines[i], traced.Machines[i])
+				base.Times[i], base.Latency[i], got.Latency[i], base.Machines[i], got.Machines[i])
 		}
 	}
 }

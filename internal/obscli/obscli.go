@@ -1,8 +1,9 @@
 // Package obscli wires the observability layer into the command-line
-// tools: it attaches a Recorder to every testbed the experiments package
-// builds, optionally serves the debug endpoints, and gates live
-// diagnosis so the (single-threaded) controller is only read once the
-// simulation has finished.
+// tools: it builds the experiments.Env the tools run their scenarios
+// in — a Recorder on every testbed, the span tracer, the -wl.* record
+// and replay seams — optionally serves the debug endpoints, and gates
+// live diagnosis so the (single-threaded) controller is only read once
+// the simulation has finished.
 //
 // Concurrency: the HTTP server runs concurrently with the simulation,
 // but it only touches the concurrent-safe surfaces of internal/obs; the
@@ -22,7 +23,6 @@ import (
 
 	"outlierlb/internal/cluster"
 	"outlierlb/internal/core"
-	"outlierlb/internal/ctrlnet"
 	"outlierlb/internal/experiments"
 	"outlierlb/internal/obs"
 	"outlierlb/internal/sim"
@@ -31,66 +31,6 @@ import (
 
 // EventLogCapacity is how many decision-trace events the tools retain.
 const EventLogCapacity = 4096
-
-// FlagWasSet reports whether the named flag was passed explicitly on
-// the command line (call after flag.Parse). Modes that would silently
-// ignore a flag use this to refuse it even when the explicit value
-// matches the default.
-func FlagWasSet(name string) bool {
-	set := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			set = true
-		}
-	})
-	return set
-}
-
-// CtrlFlags is the shared -ctrl.* flag set: the control channel's
-// default link characteristics. Registered here so every tool documents
-// the flags identically and the suites can reject the whole family by
-// name.
-type CtrlFlags struct {
-	latency *float64
-	jitter  *float64
-	drop    *float64
-	dup     *float64
-}
-
-// ctrlFlagNames is every flag RegisterCtrlFlags defines, for AnySet.
-var ctrlFlagNames = []string{"ctrl.latency", "ctrl.jitter", "ctrl.drop", "ctrl.dup"}
-
-// RegisterCtrlFlags registers the shared -ctrl.* flags. The caller
-// applies the parsed values with Apply after flag.Parse.
-func RegisterCtrlFlags() *CtrlFlags {
-	return &CtrlFlags{
-		latency: flag.Float64("ctrl.latency", 0, "control channel: one-way delivery latency in seconds"),
-		jitter:  flag.Float64("ctrl.jitter", 0, "control channel: uniform latency jitter in seconds"),
-		drop:    flag.Float64("ctrl.drop", 0, "control channel: message loss probability in [0, 1)"),
-		dup:     flag.Float64("ctrl.dup", 0, "control channel: message duplication probability in [0, 1)"),
-	}
-}
-
-// Apply pushes the parsed -ctrl.* values into the experiments hooks so
-// every subsequently built testbed uses them.
-func (c *CtrlFlags) Apply() {
-	experiments.SetCtrlLink(ctrlnet.Config{
-		Latency: *c.latency, Jitter: *c.jitter, Drop: *c.drop, Dup: *c.dup,
-	})
-}
-
-// AnySet reports whether any -ctrl.* flag was passed explicitly (call
-// after flag.Parse). The suites refuse the whole family: their baselines
-// pin a perfect channel, and a silently ignored degradation flag would
-// be worse than an error.
-func (c *CtrlFlags) AnySet() (string, bool) {
-	for _, name := range ctrlFlagNames {
-		if FlagWasSet(name) {
-			return "-" + name, true
-		}
-	}
-	return "", false
-}
 
 // WlFlags is the shared -wl.* flag pair: record the run's offered load
 // as a workload-trace-v2 file, or replay a previously recorded one in
@@ -103,9 +43,6 @@ type WlFlags struct {
 	// rec captures arrivals when -wl.record is set; Finish writes it out.
 	rec *wltemporal.Recorder
 }
-
-// wlFlagNames is every flag RegisterWlFlags defines, for AnySet.
-var wlFlagNames = []string{"wl.record", "wl.replay"}
 
 // RegisterWlFlags registers the shared -wl.* flags. The caller applies
 // the parsed values with Apply after flag.Parse and, for -wl.record,
@@ -120,11 +57,11 @@ func RegisterWlFlags() *WlFlags {
 	}
 }
 
-// Apply validates the parsed -wl.* values and installs them into the
-// experiments hooks: -wl.replay loads the trace up front so a bad file
-// fails before any simulation state exists; -wl.record attaches a
-// recorder to the arrival hook.
-func (w *WlFlags) Apply() error {
+// Apply validates the parsed -wl.* values and fills env's workload
+// seams: -wl.replay loads the trace into env.Replay up front, so a bad
+// file fails before any simulation state exists; -wl.record points
+// env.OnArrival at a recorder.
+func (w *WlFlags) Apply(env *experiments.Env) error {
 	if *w.record != "" && *w.replay != "" {
 		return errors.New("-wl.record and -wl.replay are mutually exclusive")
 	}
@@ -133,13 +70,13 @@ func (w *WlFlags) Apply() error {
 		if err != nil {
 			return fmt.Errorf("-wl.replay: %w", err)
 		}
-		experiments.SetReplay(tr)
+		env.Replay = tr
 		fmt.Fprintf(os.Stderr, "workload: replaying %d arrivals (%d cohorts, %d classes) from %s\n",
 			len(tr.Arrivals), len(tr.Cohorts), len(tr.Classes), *w.replay)
 	}
 	if *w.record != "" {
 		w.rec = wltemporal.NewRecorder()
-		experiments.SetArrivalHook(w.rec.Observe)
+		env.OnArrival = w.rec.Observe
 	}
 	return nil
 }
@@ -158,16 +95,18 @@ func (w *WlFlags) Finish() error {
 	return nil
 }
 
-// AnySet reports whether any -wl.* flag was passed explicitly (call
-// after flag.Parse). Modes that never build a load generator refuse the
-// family rather than silently ignore it.
+// AnySet reports whether any -wl.* flag was passed explicitly, even at
+// its default value, and names the first (call after flag.Parse). Modes
+// that never build a load generator refuse the family rather than
+// silently ignore it.
 func (w *WlFlags) AnySet() (string, bool) {
-	for _, name := range wlFlagNames {
-		if FlagWasSet(name) {
-			return "-" + name, true
+	name := ""
+	flag.Visit(func(f *flag.Flag) {
+		if name == "" && (f.Name == "wl.record" || f.Name == "wl.replay") {
+			name = "-" + f.Name
 		}
-	}
-	return "", false
+	})
+	return name, name != ""
 }
 
 // Options configures a Session from the tools' flags. The zero value
@@ -198,11 +137,12 @@ type Options struct {
 
 // Session is one tool invocation's observability state.
 type Session struct {
+	// Env carries the observer, testbed callback and tracer (nil unless
+	// -trace.sample > 0 or -run.out) into the scenarios.
+	Env experiments.Env
 	// Recorder is nil when observability is disabled (no -obs.addr, no -v,
 	// no -run.out).
 	Recorder *obs.Recorder
-	// Tracer is nil unless -trace.sample > 0 or -run.out is set.
-	Tracer *obs.Tracer
 	// Flight is nil unless -run.out is set.
 	Flight *obs.FlightRecorder
 
@@ -221,8 +161,8 @@ type Session struct {
 }
 
 // Start configures observability from the tools' flags. With everything
-// off it returns a disabled session, leaving the simulation hot path on
-// the no-op observer and the nil tracer.
+// off it returns a disabled session whose Env is the zero value, leaving
+// the simulation hot path on the no-op observer and the nil tracer.
 func Start(o Options) (*Session, error) {
 	s := &Session{sigPath: o.SigPath, runOut: o.RunOut}
 	if o.Addr == "" && !o.Verbose && o.SigPath == "" && o.TraceSample <= 0 && o.RunOut == "" {
@@ -239,37 +179,35 @@ func Start(o Options) (*Session, error) {
 		if ring <= 0 {
 			ring = obs.DefaultTraceRing
 		}
-		s.Tracer = obs.NewTracer(o.Seed, o.TraceSample, ring)
+		s.Env.Tracer = obs.NewTracer(o.Seed, o.TraceSample, ring)
 	}
 	if o.RunOut != "" {
-		s.Flight = obs.NewFlightRecorder(s.Recorder.Registry(), s.Tracer, obs.RunMeta{
+		s.Flight = obs.NewFlightRecorder(s.Recorder.Registry(), s.Env.Tracer, obs.RunMeta{
 			Tool: o.Tool, Scenario: o.Scenario, Seed: o.Seed, SampleRate: o.TraceSample,
 		})
 	}
 	// A nil *Recorder must become a nil interface, not a typed nil the
 	// testbeds would try to call. Tee drops nils and unwraps a single
 	// observer, so the flight recorder costs nothing when absent.
-	var observer obs.Observer
 	if s.Recorder != nil {
-		observer = s.Recorder
+		s.Env.Observer = s.Recorder
 		if s.Flight != nil {
-			observer = obs.Tee(s.Recorder, s.Flight)
+			s.Env.Observer = obs.Tee(s.Recorder, s.Flight)
 		}
 	}
-	experiments.SetTracer(s.Tracer)
-	experiments.SetObsHooks(observer, func(ctl *core.Controller, _ *cluster.Manager, _ *sim.Engine) {
+	s.Env.OnTestbed = func(ctl *core.Controller, _ *cluster.Manager, _ *sim.Engine) {
 		s.mu.Lock()
 		s.ctl = ctl
 		s.running = true
 		s.mu.Unlock()
 		s.warmStart(ctl)
-	})
+	}
 	if o.Addr != "" {
 		srv, bound, err := obs.Serve(o.Addr, obs.MuxConfig{
 			Log:      s.Recorder.Events(),
 			Registry: s.Recorder.Registry(),
 			Diagnose: s.diagnose,
-			Tracer:   s.Tracer,
+			Tracer:   s.Env.Tracer,
 			Flight:   s.Flight,
 			PProf:    o.PProf,
 		})
@@ -278,7 +216,7 @@ func Start(o Options) (*Session, error) {
 		}
 		s.srv, s.addr = srv, bound
 		endpoints := "/metrics, /debug/decisions, /debug/diagnosis"
-		if s.Tracer != nil {
+		if s.Env.Tracer != nil {
 			endpoints += ", /debug/trace"
 		}
 		if s.Flight != nil {
@@ -291,9 +229,6 @@ func Start(o Options) (*Session, error) {
 	}
 	return s, nil
 }
-
-// Addr reports the bound HTTP address, or "" when no server runs.
-func (s *Session) Addr() string { return s.addr }
 
 // diagnose backs /debug/diagnosis: it refuses while the simulation is
 // still running (the controller is not goroutine-safe) and otherwise

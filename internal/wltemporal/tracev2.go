@@ -2,6 +2,7 @@ package wltemporal
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -111,73 +112,65 @@ func (r *Recorder) Hook(cohort string) func(t float64, class metrics.ClassID) {
 // callers should be done recording before writing it out.
 func (r *Recorder) Trace() *Trace { return &r.trace }
 
-// Write encodes the trace in workload-trace-v2 format.
+// Write encodes the trace in workload-trace-v2 format. It decodes its
+// own encoding with ReadTrace first and writes nothing unless that
+// succeeds, so the format is strict in both directions: a recording
+// that ReadTrace would reject — say two runs concatenated, the second
+// restarting its clock at 0 — fails at record time, not at replay.
 func (t *Trace) Write(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(tracePrefix + string(rune(traceVersion)) + "\n"); err != nil {
-		return err
-	}
-	var buf [binary.MaxVarintLen64]byte
-	putUvarint := func(v uint64) error {
-		n := binary.PutUvarint(buf[:], v)
-		_, err := bw.Write(buf[:n])
-		return err
-	}
-	putString := func(s string) error {
-		if err := putUvarint(uint64(len(s))); err != nil {
-			return err
-		}
-		_, err := bw.WriteString(s)
-		return err
-	}
-	if err := putUvarint(uint64(len(t.Cohorts))); err != nil {
-		return err
-	}
-	for _, c := range t.Cohorts {
-		if err := putString(c); err != nil {
-			return err
-		}
-	}
-	if err := putUvarint(uint64(len(t.Classes))); err != nil {
-		return err
-	}
-	for _, c := range t.Classes {
-		if err := putString(c.App); err != nil {
-			return err
-		}
-		if err := putString(c.Class); err != nil {
-			return err
-		}
-	}
-	if err := putUvarint(uint64(len(t.Arrivals))); err != nil {
-		return err
-	}
-	for _, a := range t.Arrivals {
-		binary.LittleEndian.PutUint64(buf[:8], math.Float64bits(a.T))
-		if _, err := bw.Write(buf[:8]); err != nil {
-			return err
-		}
-		if err := putUvarint(uint64(a.Cohort)); err != nil {
-			return err
-		}
-		if err := putUvarint(uint64(a.Class)); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// WriteFile writes the trace to path, truncating any existing file.
-func (t *Trace) WriteFile(path string) error {
-	f, err := os.Create(path)
+	b, err := t.checkedBytes()
 	if err != nil {
 		return err
 	}
-	if err := t.Write(f); err != nil {
-		f.Close()
+	_, err = w.Write(b)
+	return err
+}
+
+// WriteFile writes the trace to path, truncating any existing file. A
+// trace Write refuses leaves the file system untouched.
+func (t *Trace) WriteFile(path string) error {
+	b, err := t.checkedBytes()
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(path, b, 0o666); err != nil {
 		return fmt.Errorf("wltemporal: writing trace %s: %w", path, err)
 	}
-	return f.Close()
+	return nil
+}
+
+// checkedBytes is the trace's encoding, provided ReadTrace accepts it.
+func (t *Trace) checkedBytes() ([]byte, error) {
+	b := t.encode()
+	if _, err := ReadTrace(bytes.NewReader(b)); err != nil {
+		return nil, fmt.Errorf("wltemporal: refusing to write a trace no reader accepts: %w", err)
+	}
+	return b, nil
+}
+
+// encode lays the trace out in workload-trace-v2 format, unchecked.
+func (t *Trace) encode() []byte {
+	b := []byte(tracePrefix + string(rune(traceVersion)) + "\n")
+	putString := func(s string) {
+		b = binary.AppendUvarint(b, uint64(len(s)))
+		b = append(b, s...)
+	}
+	b = binary.AppendUvarint(b, uint64(len(t.Cohorts)))
+	for _, c := range t.Cohorts {
+		putString(c)
+	}
+	b = binary.AppendUvarint(b, uint64(len(t.Classes)))
+	for _, c := range t.Classes {
+		putString(c.App)
+		putString(c.Class)
+	}
+	b = binary.AppendUvarint(b, uint64(len(t.Arrivals)))
+	for _, a := range t.Arrivals {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(a.T))
+		b = binary.AppendUvarint(b, uint64(a.Cohort))
+		b = binary.AppendUvarint(b, uint64(a.Class))
+	}
+	return b
 }
 
 // ReadTrace decodes a workload-trace-v2 stream, validating framing,

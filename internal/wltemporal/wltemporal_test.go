@@ -2,8 +2,12 @@ package wltemporal
 
 import (
 	"bytes"
+	"errors"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"outlierlb/internal/bufferpool"
@@ -229,41 +233,59 @@ func TestReadTraceRejectsMangled(t *testing.T) {
 	}
 }
 
+// badTraces are well-framed traces carrying values ReadTrace rejects,
+// keyed by what is wrong with them.
+func badTraces() map[string]Trace {
+	one := func(cohort string, arrivals ...Arrival) Trace {
+		return Trace{Cohorts: []string{cohort}, Classes: []metrics.ClassID{browse}, Arrivals: arrivals}
+	}
+	return map[string]Trace{
+		"cohort index out of range":     one("a", Arrival{T: 1, Cohort: 5}),
+		"class index out of range":      one("a", Arrival{T: 1, Class: 2}),
+		"decreasing times":              one("a", Arrival{T: 2}, Arrival{T: 1}),
+		"second run restarts the clock": one("a", Arrival{T: 519.96}, Arrival{T: 0.0073}),
+		"NaN time":                      one("a", Arrival{T: math.NaN()}),
+		"negative time":                 one("a", Arrival{T: -1}),
+		"infinite time":                 one("a", Arrival{T: math.Inf(1)}),
+		"over-long cohort name":         one(strings.Repeat("x", maxNameLen+1), Arrival{T: 1}),
+	}
+}
+
 func TestReadTraceRejectsBadValues(t *testing.T) {
-	encode := func(tr *Trace) []byte {
-		var buf bytes.Buffer
-		if err := tr.Write(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	cases := []struct {
-		name string
-		tr   Trace
-	}{
-		{"cohort index out of range", Trace{Cohorts: []string{"a"}, Classes: []metrics.ClassID{browse},
-			Arrivals: []Arrival{{T: 1, Cohort: 5, Class: 0}}}},
-		{"class index out of range", Trace{Cohorts: []string{"a"}, Classes: []metrics.ClassID{browse},
-			Arrivals: []Arrival{{T: 1, Cohort: 0, Class: 2}}}},
-		{"decreasing times", Trace{Cohorts: []string{"a"}, Classes: []metrics.ClassID{browse},
-			Arrivals: []Arrival{{T: 2, Cohort: 0, Class: 0}, {T: 1, Cohort: 0, Class: 0}}}},
-		{"NaN time", Trace{Cohorts: []string{"a"}, Classes: []metrics.ClassID{browse},
-			Arrivals: []Arrival{{T: math.NaN(), Cohort: 0, Class: 0}}}},
-		{"negative time", Trace{Cohorts: []string{"a"}, Classes: []metrics.ClassID{browse},
-			Arrivals: []Arrival{{T: -1, Cohort: 0, Class: 0}}}},
-		{"infinite time", Trace{Cohorts: []string{"a"}, Classes: []metrics.ClassID{browse},
-			Arrivals: []Arrival{{T: math.Inf(1), Cohort: 0, Class: 0}}}},
-	}
-	for _, tc := range cases {
-		if _, err := ReadTrace(bytes.NewReader(encode(&tc.tr))); err == nil {
-			t.Errorf("%s: accepted", tc.name)
+	for name, tr := range badTraces() {
+		if _, err := ReadTrace(bytes.NewReader(tr.encode())); err == nil {
+			t.Errorf("%s: accepted", name)
 		}
 	}
 	// An equal-time tie is legal (FIFO order is meaningful).
 	tie := Trace{Cohorts: []string{"a"}, Classes: []metrics.ClassID{browse},
 		Arrivals: []Arrival{{T: 1, Cohort: 0, Class: 0}, {T: 1, Cohort: 0, Class: 0}}}
-	if _, err := ReadTrace(bytes.NewReader(encode(&tie))); err != nil {
+	var buf bytes.Buffer
+	if err := tie.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadTrace(&buf); err != nil {
 		t.Errorf("equal-time arrivals rejected: %v", err)
+	}
+}
+
+// TestTraceWriteRejectsBadValues holds the writer to the reader's
+// rules: every trace ReadTrace would reject is refused before a byte is
+// written or a file is created, so a bad recording fails at record time
+// instead of at replay.
+func TestTraceWriteRejectsBadValues(t *testing.T) {
+	for name, tr := range badTraces() {
+		var buf bytes.Buffer
+		if err := tr.Write(&buf); err == nil || buf.Len() != 0 {
+			t.Errorf("%s: Write returned %v after %d bytes", name, err, buf.Len())
+		}
+		path := filepath.Join(t.TempDir(), "bad.trace")
+		if err := tr.WriteFile(path); err == nil {
+			t.Errorf("%s: WriteFile accepted", name)
+		}
+		if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("%s: WriteFile left %s behind (stat: %v)", name, path, err)
+		}
 	}
 }
 
