@@ -18,13 +18,13 @@ test -z "$(go list -f '{{if not .Doc}}{{.ImportPath}}{{end}}' ./internal/...)"
 
 go build ./...
 
-# The experiments package alone took 1 320 s (~22 min) under the race
+# The experiments package alone took 1 018 s (~17 min) under the race
 # detector on a 2-core host (the chaos, overload, guard, adversarial,
 # temporal and tracing suites are full simulations × 3 seeds each, run
 # as parallel subtests, so more cores shorten it), so the default 10 min
-# per-package test timeout is not enough. On that host even the 20 min
-# below is too short; ROADMAP item 3 tracks cutting the suite's
-# repeated fig3 runs.
+# per-package test timeout is not enough. The 20 min below leaves ~15%
+# headroom on that host and less on slower ones; ROADMAP item 3 tracks
+# the rest.
 go test -race -timeout 20m ./...
 
 # Seed-pinned chaos smoke run: gray-failure + flapping under seed 1,
@@ -48,6 +48,12 @@ go test -short -run 'TestOverloadProtection|TestOverloadDeterminism' -count=1 ./
 # already ran above; this rerun pins the operator-facing invocation.
 # See DESIGN.md §10.
 go test -short -run 'TestEventCore|TestFig3RecordReplayIdentity|TestTracingChaosWellFormed|TestOverloadProtection' -count=1 ./internal/experiments/
+
+# Trace-v2 decoder fuzz smoke: 15 s of coverage-guided input on top of
+# the committed corpus (internal/wltemporal/testdata/fuzz/). The decoder
+# must never panic, and every input it accepts must re-encode to the
+# same bytes.
+go test -run '^$' -fuzz '^FuzzReadTrace$' -fuzztime 15s ./internal/wltemporal/
 
 # Performance regression gate: run the suite in short mode and compare
 # against the committed seed baseline at ±30% — wide enough to absorb

@@ -111,12 +111,11 @@ type Scheduler struct {
 	// up-to-date replica is available.
 	asyncLag float64
 	freshAt  map[*Replica]float64
-	balancer Balancer
 
 	// Failure detection, retry and circuit breaking (health.go). The
-	// default hcfg (QueryDeadline == 0) disables all of it, preserving
-	// the announced-failure model exactly.
-	hcfg      HealthConfig
+	// default deadline of zero disables all of it, preserving the
+	// announced-failure model exactly.
+	deadline  float64
 	health    map[*Replica]*replicaHealth
 	observer  obs.Observer
 	observing bool
@@ -134,18 +133,6 @@ type Scheduler struct {
 	// service phases under the active attempt. Nil-safe throughout.
 	tracer *obs.Tracer
 }
-
-// Balancer selects how reads spread over a class's placement.
-type Balancer int
-
-// The read-balancing policies.
-const (
-	// RoundRobin rotates through the placement (the default).
-	RoundRobin Balancer = iota
-	// LeastLoaded routes each read to the fresh replica whose server
-	// currently has the smallest CPU + disk backlog.
-	LeastLoaded
-)
 
 // NewScheduler returns a scheduler for app with no replicas yet.
 func NewScheduler(app *Application) (*Scheduler, error) {
@@ -172,9 +159,6 @@ func NewScheduler(app *Application) (*Scheduler, error) {
 		observer:  obs.Nop{},
 	}, nil
 }
-
-// SetBalancer selects the read-balancing policy.
-func (s *Scheduler) SetBalancer(b Balancer) { s.balancer = b }
 
 // SetAsyncReplication switches write propagation to asynchronous with
 // the given apply lag in seconds; zero restores synchronous
@@ -464,7 +448,7 @@ func (s *Scheduler) Submit(now float64, id metrics.ClassID) (done float64, err e
 // must reach every replica or none, so writes are governed by the entry
 // gate alone.
 func (s *Scheduler) submitRead(now float64, id metrics.ClassID, reps []*Replica) (float64, error) {
-	if s.hcfg.Enabled() {
+	if s.healthEnabled() {
 		return s.submitReadHealth(now, id, reps)
 	}
 	root := s.tracer.Current()
@@ -570,7 +554,7 @@ func (s *Scheduler) submitReadHealth(now float64, id metrics.ClassID, reps []*Re
 	excluded := make(map[*Replica]bool, len(reps))
 	arrive := now
 	var lastErr error
-	for attempt := 1; attempt <= s.hcfg.MaxRetries; attempt++ {
+	for attempt := 1; attempt <= maxRetries; attempt++ {
 		r, start := s.pickFreshReplica(arrive, reps, id, excluded)
 		if r == nil {
 			break
@@ -582,7 +566,7 @@ func (s *Scheduler) submitReadHealth(now float64, id metrics.ClassID, reps []*Re
 			asp.Annotate("attempt", float64(attempt))
 			s.tracer.SetCurrent(asp)
 		}
-		deadline := arrive + s.hcfg.QueryDeadline
+		deadline := arrive + s.deadline
 		failAt := deadline
 		if r.down {
 			// Unanswered: the client waits out the full deadline.
@@ -649,7 +633,7 @@ func (s *Scheduler) submitReadHealth(now float64, id metrics.ClassID, reps []*Re
 			asp.Server = r.srv.Name()
 			s.tracer.SetCurrent(asp)
 		}
-		deadline := arrive + s.hcfg.QueryDeadline
+		deadline := arrive + s.deadline
 		if r.down {
 			s.recordTimeout(deadline, r, "read unanswered: replica unresponsive")
 			if asp != nil {
@@ -745,7 +729,7 @@ func (s *Scheduler) submitWriteSync(now float64, id metrics.ClassID) (done float
 	if len(reps) == 0 {
 		return now, fmt.Errorf("cluster: application %q has no live replicas", s.app.Name)
 	}
-	if s.hcfg.Enabled() {
+	if s.healthEnabled() {
 		return s.submitWriteSyncHealth(now, id, reps)
 	}
 	root := s.tracer.Current()
@@ -787,7 +771,7 @@ func (s *Scheduler) submitWriteSync(now float64, id metrics.ClassID) (done float
 // waiting for it. A definite engine error still aborts atomically; the
 // write only errors out when it reached no replica at all.
 func (s *Scheduler) submitWriteSyncHealth(now float64, id metrics.ClassID, reps []*Replica) (float64, error) {
-	deadline := now + s.hcfg.QueryDeadline
+	deadline := now + s.deadline
 	done := now
 	targets := make([]*Replica, 0, len(reps))
 	for _, r := range reps {
@@ -936,7 +920,7 @@ func (s *Scheduler) pickFreshReplica(now float64, reps []*Replica, id metrics.Cl
 	if r, start := s.pickReplica(now, reps, id, excluded, false); r != nil {
 		return r, start
 	}
-	if !s.hcfg.Enabled() {
+	if !s.healthEnabled() {
 		return nil, 0
 	}
 	return s.pickReplica(now, reps, id, excluded, true)
@@ -944,8 +928,8 @@ func (s *Scheduler) pickFreshReplica(now float64, reps []*Replica, id metrics.Cl
 
 func (s *Scheduler) pickReplica(now float64, reps []*Replica, id metrics.ClassID, excluded map[*Replica]bool, failOpen bool) (*Replica, float64) {
 	n := len(reps)
-	var soonest, best *Replica
-	soonestAt, bestLoad := 0.0, 0.0
+	var soonest *Replica
+	soonestAt := 0.0
 	for i := 0; i < n; i++ {
 		r := reps[(s.rr[id]+i)%n]
 		if r.failed || excluded[r] {
@@ -957,16 +941,8 @@ func (s *Scheduler) pickReplica(now float64, reps []*Replica, id metrics.ClassID
 		behind := r.appliedSeq[s.app.Name] != s.writeSeq
 		fresh := s.freshAt[r]
 		if !behind && fresh <= now {
-			if s.balancer == RoundRobin {
-				s.rr[id] += i + 1
-				return r, now
-			}
-			load := r.srv.CPUQueueDelay(now) + r.srv.Disk().QueueDelay(now)
-			if best == nil || load < bestLoad {
-				best = r
-				bestLoad = load
-			}
-			continue
+			s.rr[id] += i + 1
+			return r, now
 		}
 		if behind {
 			continue
@@ -975,10 +951,6 @@ func (s *Scheduler) pickReplica(now float64, reps []*Replica, id metrics.ClassID
 			soonest = r
 			soonestAt = fresh
 		}
-	}
-	if best != nil {
-		s.rr[id]++
-		return best, now
 	}
 	if soonest == nil {
 		return nil, 0

@@ -44,89 +44,39 @@ func (h HealthState) String() string {
 	return fmt.Sprintf("HealthState(%d)", int(h))
 }
 
-// HealthConfig tunes the scheduler's failure detector, retry policy and
-// per-replica circuit breaker. The zero value disables detection
-// entirely (QueryDeadline == 0): the scheduler behaves exactly as the
-// announced-failure model did.
-type HealthConfig struct {
-	// QueryDeadline is the per-query deadline in seconds. A read whose
-	// completion would exceed start+deadline is abandoned at the deadline
-	// and retried on another replica; a write skips replicas that time
-	// out (they resynchronize by state transfer on recovery). Zero
-	// disables all health management.
-	QueryDeadline float64
-	// MaxRetries is how many deadline-bounded attempts a read makes
+// The failure detector's retry, backoff and circuit-breaker constants.
+// They apply whenever a query deadline is set (SetQueryDeadline).
+const (
+	// maxRetries is how many deadline-bounded attempts a read makes
 	// before the final patient attempt, which waits the query out on the
 	// best remaining live replica instead of abandoning at the deadline
-	// (there is nowhere left to retry). Default 2.
-	MaxRetries int
-	// RetryBackoff is the initial client backoff before a retry, in
-	// seconds; it doubles per attempt up to RetryBackoffMax. Defaults
-	// 0.05 and 1.
-	RetryBackoff    float64
-	RetryBackoffMax float64
-	// BreakerThreshold trips the breaker after this many consecutive
-	// timeouts on one replica. Default 3.
-	BreakerThreshold int
-	// BreakerWindow and BreakerWindowCount trip the breaker when
-	// WindowCount timeouts land within Window seconds even if successes
-	// interleave — the gray-failure path, where fast cached queries keep
-	// resetting a purely consecutive counter. Defaults 30 and 6.
-	BreakerWindow      float64
-	BreakerWindowCount int
-	// BreakerWindowRate additionally requires windowed timeouts to make
+	// (there is nowhere left to retry).
+	maxRetries = 2
+	// retryBackoffStart is the initial client backoff before a retry, in
+	// seconds; it doubles per attempt up to retryBackoffMax.
+	retryBackoffStart float64 = 0.05
+	retryBackoffMax   float64 = 1
+	// breakerThreshold trips the breaker after this many consecutive
+	// timeouts on one replica.
+	breakerThreshold = 3
+	// breakerWindow and breakerWindowCount trip the breaker when
+	// breakerWindowCount timeouts land within breakerWindow seconds even
+	// if successes interleave — the gray-failure path, where fast cached
+	// queries keep resetting a purely consecutive counter.
+	breakerWindow      float64 = 30
+	breakerWindowCount         = 6
+	// breakerWindowRate additionally requires windowed timeouts to make
 	// up at least this fraction of the window's outcomes before the
 	// windowed condition trips. An absolute count alone would trip on the
 	// latency tail of a busy but healthy replica — at hundreds of queries
-	// per second, even a 0.1% tail clears any fixed count. Default 0.25.
-	BreakerWindowRate float64
-	// BreakerCooldown is how long the breaker stays open before a
+	// per second, even a 0.1% tail clears any fixed count.
+	breakerWindowRate float64 = 0.25
+	// breakerCooldown is how long the breaker stays open before a
 	// half-open probe, in seconds; it doubles on each failed probe up to
-	// BreakerCooldownMax. Defaults 10 and 60.
-	BreakerCooldown    float64
-	BreakerCooldownMax float64
-}
-
-// Enabled reports whether health management is active.
-func (c HealthConfig) Enabled() bool { return c.QueryDeadline > 0 }
-
-func (c *HealthConfig) fill() {
-	if c.MaxRetries <= 0 {
-		c.MaxRetries = 2
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 0.05
-	}
-	if c.RetryBackoffMax <= 0 {
-		c.RetryBackoffMax = 1
-	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 3
-	}
-	if c.BreakerWindow <= 0 {
-		c.BreakerWindow = 30
-	}
-	if c.BreakerWindowCount <= 0 {
-		c.BreakerWindowCount = 6
-	}
-	if c.BreakerWindowRate <= 0 {
-		c.BreakerWindowRate = 0.25
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 10
-	}
-	if c.BreakerCooldownMax <= 0 {
-		c.BreakerCooldownMax = 60
-	}
-}
-
-// DefaultHealthConfig returns the detector defaults with the given
-// per-query deadline.
-func DefaultHealthConfig(deadline float64) HealthConfig {
-	c := HealthConfig{QueryDeadline: deadline}
-	c.fill()
-	return c
-}
+	// breakerCooldownMax.
+	breakerCooldown    float64 = 10
+	breakerCooldownMax float64 = 60
+)
 
 // replicaHealth is the per-replica detector state.
 type replicaHealth struct {
@@ -147,18 +97,17 @@ func pruneBefore(ts []float64, cutoff float64) []float64 {
 	return ts
 }
 
-// SetHealthConfig enables (QueryDeadline > 0) or disables the failure
-// detector, retry policy and circuit breaker. Missing knobs are filled
-// with defaults.
-func (s *Scheduler) SetHealthConfig(cfg HealthConfig) {
-	if cfg.Enabled() {
-		cfg.fill()
-	}
-	s.hcfg = cfg
-}
+// SetQueryDeadline enables the failure detector, retry policy and
+// circuit breaker with a per-query deadline of d seconds: a read whose
+// completion would exceed start+d is abandoned at the deadline and
+// retried on another replica; a write skips replicas that time out (they
+// resynchronize by state transfer on recovery). Zero, the default,
+// disables all health management: the scheduler behaves exactly as the
+// announced-failure model did.
+func (s *Scheduler) SetQueryDeadline(d float64) { s.deadline = d }
 
-// HealthConfig returns the active health configuration.
-func (s *Scheduler) HealthConfig() HealthConfig { return s.hcfg }
+// healthEnabled reports whether health management is active.
+func (s *Scheduler) healthEnabled() bool { return s.deadline > 0 }
 
 // SetObserver attaches an observer to the scheduler's health and
 // retry decision trace. Passing nil (or obs.Nop{}) detaches.
@@ -202,7 +151,7 @@ func (s *Scheduler) BreakerTrips(r *Replica) int {
 func (s *Scheduler) healthFor(r *Replica) *replicaHealth {
 	h := s.health[r]
 	if h == nil {
-		h = &replicaHealth{cooldown: s.hcfg.BreakerCooldown}
+		h = &replicaHealth{cooldown: breakerCooldown}
 		s.health[r] = h
 	}
 	return h
@@ -231,7 +180,7 @@ func (s *Scheduler) emitHealth(now float64, kind obs.EventKind, r *Replica, caus
 // promoting an open breaker to probation (with state transfer) when its
 // probe time has arrived.
 func (s *Scheduler) admitted(now float64, r *Replica) bool {
-	if !s.hcfg.Enabled() {
+	if !s.healthEnabled() {
 		return true
 	}
 	h := s.health[r]
@@ -261,12 +210,12 @@ func (s *Scheduler) recordSuccess(now float64, r *Replica) {
 		return
 	}
 	h.consecutive = 0
-	cutoff := now - s.hcfg.BreakerWindow
+	cutoff := now - breakerWindow
 	h.recentOK = append(pruneBefore(h.recentOK, cutoff), now)
 	switch h.state {
 	case HealthProbation:
 		h.state = HealthHealthy
-		h.cooldown = s.hcfg.BreakerCooldown
+		h.cooldown = breakerCooldown
 		h.recent = h.recent[:0]
 		h.recentOK = h.recentOK[:0]
 		s.emitHealth(now, obs.EventReplicaRecovered, r,
@@ -288,7 +237,7 @@ func (s *Scheduler) recordSuccess(now float64, r *Replica) {
 func (s *Scheduler) recordTimeout(now float64, r *Replica, cause string) {
 	h := s.healthFor(r)
 	h.consecutive++
-	cutoff := now - s.hcfg.BreakerWindow
+	cutoff := now - breakerWindow
 	h.recent = append(pruneBefore(h.recent, cutoff), now)
 	h.recentOK = pruneBefore(h.recentOK, cutoff)
 	switch h.state {
@@ -298,7 +247,7 @@ func (s *Scheduler) recordTimeout(now float64, r *Replica, cause string) {
 	case HealthProbation:
 		// A failed probe reopens the breaker with a doubled cooldown.
 		h.state = HealthFailed
-		h.cooldown = min(2*h.cooldown, s.hcfg.BreakerCooldownMax)
+		h.cooldown = min(2*h.cooldown, breakerCooldownMax)
 		h.openUntil = now + h.cooldown
 		h.trips++
 		s.emitHealth(now, obs.EventBreakerTrip, r,
@@ -311,15 +260,15 @@ func (s *Scheduler) recordTimeout(now float64, r *Replica, cause string) {
 	// keeps one slow query from tripping an idle replica, the rate keeps
 	// the latency tail of a busy healthy replica (many successes, a few
 	// timeouts) from tripping it.
-	windowed := len(h.recent) >= s.hcfg.BreakerWindowCount &&
-		float64(len(h.recent)) >= s.hcfg.BreakerWindowRate*float64(len(h.recent)+len(h.recentOK))
-	if h.consecutive >= s.hcfg.BreakerThreshold || windowed {
+	windowed := len(h.recent) >= breakerWindowCount &&
+		float64(len(h.recent)) >= breakerWindowRate*float64(len(h.recent)+len(h.recentOK))
+	if h.consecutive >= breakerThreshold || windowed {
 		h.state = HealthFailed
 		h.openUntil = now + h.cooldown
 		h.trips++
 		s.emitHealth(now, obs.EventBreakerTrip, r,
 			fmt.Sprintf("%s (%d consecutive, %d of %d in %.0fs)",
-				cause, h.consecutive, len(h.recent), len(h.recent)+len(h.recentOK), s.hcfg.BreakerWindow),
+				cause, h.consecutive, len(h.recent), len(h.recent)+len(h.recentOK), breakerWindow),
 			map[string]float64{"cooldown": h.cooldown, "trips": float64(h.trips)})
 	}
 }
@@ -332,12 +281,12 @@ func (s *Scheduler) resetHealth(r *Replica) {
 // retryBackoff returns the capped exponential client backoff before
 // retry number attempt (1-based).
 func (s *Scheduler) retryBackoff(attempt int) float64 {
-	b := s.hcfg.RetryBackoff
+	b := retryBackoffStart
 	for i := 1; i < attempt; i++ {
 		b *= 2
-		if b >= s.hcfg.RetryBackoffMax {
-			return s.hcfg.RetryBackoffMax
+		if b >= retryBackoffMax {
+			return retryBackoffMax
 		}
 	}
-	return min(b, s.hcfg.RetryBackoffMax)
+	return min(b, retryBackoffMax)
 }

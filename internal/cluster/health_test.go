@@ -35,23 +35,28 @@ func (c *captureObs) count(k obs.EventKind) int {
 func healthSched(t *testing.T, deadline float64, reps ...*Replica) (*Scheduler, *captureObs) {
 	t.Helper()
 	s := newSched(t, reps...)
-	s.SetHealthConfig(HealthConfig{QueryDeadline: deadline})
+	s.SetQueryDeadline(deadline)
 	rec := &captureObs{}
 	s.SetObserver(rec)
 	return s, rec
 }
 
 func TestHealthConfigDefaults(t *testing.T) {
-	var c HealthConfig
-	if c.Enabled() {
-		t.Fatal("zero config enabled")
+	s := newSched(t, newReplica(t, "s1"))
+	if s.healthEnabled() {
+		t.Fatal("health management enabled without a query deadline")
 	}
-	c = DefaultHealthConfig(0.5)
-	if !c.Enabled() {
-		t.Fatal("deadline config disabled")
+	s.SetQueryDeadline(0.5)
+	if !s.healthEnabled() {
+		t.Fatal("query deadline set but health management disabled")
 	}
-	if c.MaxRetries != 2 || c.BreakerThreshold != 3 || c.BreakerCooldown != 10 {
-		t.Fatalf("defaults not filled: %+v", c)
+	s.SetQueryDeadline(0)
+	if s.healthEnabled() {
+		t.Fatal("zero query deadline left health management enabled")
+	}
+	if maxRetries != 2 || breakerThreshold != 3 || breakerCooldown != 10 {
+		t.Fatalf("detector constants changed: retries %d, threshold %d, cooldown %v",
+			maxRetries, breakerThreshold, breakerCooldown)
 	}
 }
 
@@ -186,7 +191,7 @@ func TestWindowedTripCatchesIntermittentTimeouts(t *testing.T) {
 	if s.Health(r1) != HealthFailed {
 		t.Fatal("windowed condition never tripped the breaker")
 	}
-	if h := s.health[r1]; len(h.recent) < s.hcfg.BreakerWindowCount {
+	if h := s.health[r1]; len(h.recent) < breakerWindowCount {
 		t.Fatalf("tripped with only %d windowed timeouts", len(h.recent))
 	}
 }
@@ -397,7 +402,7 @@ func TestHealthDisabledKeepsAnnouncedModel(t *testing.T) {
 	// pre-detector scheduler exactly.
 	r1, r2 := newReplica(t, "s1"), newReplica(t, "s2")
 	s := newSched(t, r1, r2)
-	if s.HealthConfig().Enabled() {
+	if s.healthEnabled() {
 		t.Fatal("health enabled by default")
 	}
 	for i := 0; i < 10; i++ {

@@ -67,14 +67,8 @@ func (a *LogAnalyzer) SnapshotStats(interval float64) (map[string]map[metrics.Cl
 const MRCSamples = 49152
 
 // SetSamples overrides the per-estimate sample count (small test
-// scenarios use shorter streams). Non-positive values restore the
-// default.
-func (a *LogAnalyzer) SetSamples(n int) {
-	if n <= 0 {
-		n = MRCSamples
-	}
-	a.samples = n
-}
+// scenarios use shorter streams).
+func (a *LogAnalyzer) SetSamples(n int) { a.samples = n }
 
 // RecomputeMRC rebuilds the miss-ratio curve of class id from the most
 // recent sample-count page accesses of its window and derives the

@@ -22,35 +22,16 @@ import (
 type Config struct {
 	// Interval is the measurement interval in seconds. Default 10.
 	Interval float64
-	// Fences are the IQR outlier fences. Default 1.5 / 3.0.
-	Fences Fences
-	// CPUSaturation is the mean core utilization treated as CPU
-	// saturation. Default 0.85.
-	CPUSaturation float64
-	// DiskSaturation is the disk utilization treated as I/O interference
-	// (when CPU is not saturated). Default 0.85.
-	DiskSaturation float64
 	// MRCChangeFactor is the relative change in MRC memory parameters
 	// considered significant. Default 1.6: window-based MRC estimates
 	// carry sampling noise well above the paper's nominal 1.25, and the
 	// §5.3 index-drop signal (a 1.9x acceptable-memory change) clears
 	// this bar comfortably.
 	MRCChangeFactor float64
-	// MRCThreshold is the acceptable-miss-ratio threshold above the ideal
-	// miss ratio. Default mrc.DefaultThreshold.
-	MRCThreshold float64
-	// TopK is how many heavyweight classes to investigate when no outlier
-	// contexts are found. Default 3.
-	TopK int
 	// FallbackAfter is the number of consecutive violating intervals
 	// after which the controller falls back to coarse-grained isolation.
 	// Default 4.
 	FallbackAfter int
-	// AutoIOHeuristic enables automatic application of the I/O
-	// interference heuristic. The paper's prototype diagnoses this case
-	// manually (§5.5: "our current techniques do not allow us to automate
-	// the diagnosis of this case"), so automation is opt-in.
-	AutoIOHeuristic bool
 	// ShrinkBelow enables dynamic scale-down: when an application meets
 	// its SLA with ample margin and every one of its servers runs below
 	// this CPU utilization, one replica is released back to the pool.
@@ -107,13 +88,8 @@ type Config struct {
 	// default.
 	ClockGuard bool
 
-	// Ablation switches (off in normal operation):
+	// Ablation switch (off in normal operation):
 
-	// PreferMigration disables quota enforcement: every feasible quota
-	// plan is treated as infeasible, so problem classes always migrate to
-	// another replica. Used to quantify the quota-vs-migrate trade-off
-	// discussed in §3.3.2.
-	PreferMigration bool
 	// CoarseOnly disables the fine-grained memory diagnosis entirely: the
 	// controller only reacts with CPU provisioning and the coarse-grained
 	// isolation fallback, approximating the prior-work baseline the paper
@@ -121,33 +97,33 @@ type Config struct {
 	CoarseOnly bool
 }
 
+// The diagnosis constants the paper fixes (§3.3): outlier detection
+// uses the classic Tukey fences (DefaultFences), MRC parameters use the
+// acceptable-miss-ratio threshold mrc.DefaultThreshold, and:
+const (
+	// cpuSaturation is the mean core utilization treated as CPU
+	// saturation.
+	cpuSaturation = 0.85
+	// topK is how many heavyweight classes to investigate when no
+	// outlier contexts are found.
+	topK = 3
+)
+
 func (c *Config) fill() {
 	if c.Interval <= 0 {
 		c.Interval = 10
 	}
-	if c.Fences.Inner <= 0 {
-		c.Fences = DefaultFences()
-	}
-	if c.CPUSaturation <= 0 {
-		c.CPUSaturation = 0.85
-	}
-	if c.DiskSaturation <= 0 {
-		c.DiskSaturation = 0.85
-	}
 	if c.MRCChangeFactor <= 0 {
 		c.MRCChangeFactor = 1.6
-	}
-	if c.MRCThreshold <= 0 {
-		c.MRCThreshold = mrc.DefaultThreshold
-	}
-	if c.TopK <= 0 {
-		c.TopK = 3
 	}
 	if c.FallbackAfter <= 0 {
 		c.FallbackAfter = 4
 	}
 	if c.SettleIntervals <= 0 {
 		c.SettleIntervals = 2
+	}
+	if c.MRCSampleCount <= 0 {
+		c.MRCSampleCount = MRCSamples
 	}
 	if c.ShrinkAfter <= 0 {
 		c.ShrinkAfter = 1
@@ -487,9 +463,8 @@ func (c *Controller) Tick() {
 	// without them rather than mistaking absent data for idle machines.
 	snaps := make(map[*engine.Engine]map[string]map[metrics.ClassID]metrics.Vector)
 	cpu := make(map[*server.Server]float64)
-	disk := make(map[*server.Server]float64)
 	blackout := make(map[*server.Server]bool)
-	c.cp.collect(now, clockAnomaly, snaps, cpu, disk, blackout)
+	c.cp.collect(now, clockAnomaly, snaps, cpu, blackout)
 	c.lastSnaps, c.lastSnapsAt = snaps, now
 
 	var violated []*cluster.Scheduler
@@ -648,7 +623,7 @@ func (c *Controller) Tick() {
 		if acted {
 			continue
 		}
-		acted = c.diagnose(now, sched, snaps, cpu, disk, blackout)
+		acted = c.diagnose(now, sched, snaps, cpu, blackout)
 		if acted {
 			// The configuration changed; violation streaks restart so the
 			// coarse fallback only fires when actions stop helping.
@@ -801,14 +776,10 @@ func (c *Controller) recordStable(now float64, sched *cluster.Scheduler,
 		}
 		for id := range vectors {
 			total := eng.WindowTotal(id)
-			refreshEvery := int64(c.cfg.MRCSampleCount) / 2
-			if refreshEvery <= 0 {
-				refreshEvery = MRCSamples / 2
-			}
-			if sig.HasMRC(id) && total-sig.MRCSampleCount[id] < refreshEvery {
+			if sig.HasMRC(id) && total-sig.MRCSampleCount[id] < int64(c.cfg.MRCSampleCount)/2 {
 				continue
 			}
-			if _, params, ok := c.analyzer(eng).RecomputeMRC(id, eng.Pool().Capacity(), c.cfg.MRCThreshold); ok {
+			if _, params, ok := c.analyzer(eng).RecomputeMRC(id, eng.Pool().Capacity(), mrc.DefaultThreshold); ok {
 				sig.SetMRC(id, params)
 				sig.MRCSampleCount[id] = total
 			}
@@ -887,7 +858,7 @@ func (c *Controller) maintainQuotas(now float64, sched *cluster.Scheduler) {
 						Detail: "class no longer placed here; quota dissolved"})
 					continue
 				}
-				_, params, okMRC := c.analyzer(eng).RecomputeMRC(id, eng.Pool().Capacity(), c.cfg.MRCThreshold)
+				_, params, okMRC := c.analyzer(eng).RecomputeMRC(id, eng.Pool().Capacity(), mrc.DefaultThreshold)
 				if !okMRC {
 					continue
 				}
@@ -938,7 +909,7 @@ func parseKey(key string) (metrics.ClassID, bool) {
 // and reports whether a retuning action was taken.
 func (c *Controller) diagnose(now float64, sched *cluster.Scheduler,
 	snaps map[*engine.Engine]map[string]map[metrics.ClassID]metrics.Vector,
-	cpu, disk map[*server.Server]float64, blackout map[*server.Server]bool) bool {
+	cpu map[*server.Server]float64, blackout map[*server.Server]bool) bool {
 	app := sched.App().Name
 
 	// 1. CPU saturation → reactive provisioning (§5.2, fully automated).
@@ -964,7 +935,7 @@ func (c *Controller) diagnose(now float64, sched *cluster.Scheduler,
 		// CPU time without consuming the present.
 		backlogged := srv.CPUQueueDelay(now) >= 0.5*sched.App().SLA.MaxAvgLatency &&
 			cpu[srv] >= 0.5
-		if cpu[srv] >= c.cfg.CPUSaturation || backlogged {
+		if cpu[srv] >= cpuSaturation || backlogged {
 			if c.provisionForCPU(now, sched, srv) {
 				return true
 			}
@@ -1002,19 +973,7 @@ func (c *Controller) diagnose(now float64, sched *cluster.Scheduler,
 		}
 	}
 
-	// 4. I/O interference heuristic (opt-in automation).
-	if c.cfg.AutoIOHeuristic {
-		for _, r := range sched.Replicas() {
-			srv := r.Server()
-			if disk[srv] >= c.cfg.DiskSaturation && cpu[srv] < c.cfg.CPUSaturation {
-				if c.ApplyIOHeuristic(now, srv) {
-					return true
-				}
-			}
-		}
-	}
-
-	// 5. Brownout load shedding: every fine-grained path above looked for
+	// 4. Brownout load shedding: every fine-grained path above looked for
 	// a rebalancing move and found none. With an admission controller
 	// attached, shed the lowest-impact class instead of escalating — the
 	// coarse fallback needs a fresh server, which a cluster this loaded
@@ -1023,7 +982,7 @@ func (c *Controller) diagnose(now float64, sched *cluster.Scheduler,
 		return true
 	}
 
-	// 6. Coarse-grained fallback after persistent failure.
+	// 5. Coarse-grained fallback after persistent failure.
 	if c.violStreak[app] >= c.cfg.FallbackAfter {
 		c.coarseFallback(now, sched)
 		return true
@@ -1090,7 +1049,7 @@ func (c *Controller) brownoutShed(now float64, sched *cluster.Scheduler,
 	if len(current) == 0 {
 		return false
 	}
-	reports := Detect(current, stable, c.cfg.Fences)
+	reports := Detect(current, stable, DefaultFences())
 	ids := make([]metrics.ClassID, 0, len(reports))
 	for id := range reports {
 		ids = append(ids, id)
@@ -1223,7 +1182,7 @@ func (c *Controller) diagnoseMemory(now float64, sched *cluster.Scheduler, r *cl
 			})
 		}
 	} else {
-		reports = Detect(current, sig.Metrics, c.cfg.Fences)
+		reports = Detect(current, sig.Metrics, DefaultFences())
 	}
 	if c.observing {
 		for _, rep := range Outliers(reports) {
@@ -1251,7 +1210,7 @@ func (c *Controller) diagnoseMemory(now float64, sched *cluster.Scheduler, r *cl
 	if len(candidates) == 0 {
 		// §3.3.2: "If no outlier query contexts can be determined, we use
 		// similar algorithms on the top-k heavyweight queries."
-		candidates = TopKByMemory(current, c.cfg.TopK)
+		candidates = TopKByMemory(current, topK)
 	}
 	sort.Slice(candidates, func(i, j int) bool {
 		return candidates[i].String() < candidates[j].String()
@@ -1282,7 +1241,7 @@ func (c *Controller) diagnoseMemory(now float64, sched *cluster.Scheduler, r *cl
 		exclude[p.id] = true
 		need[p.id] = p.params
 	}
-	restAcc := c.analyzer(eng).RestAcceptable(exclude, capacity, c.cfg.MRCThreshold)
+	restAcc := c.analyzer(eng).RestAcceptable(exclude, capacity, mrc.DefaultThreshold)
 	if restAcc > capacity {
 		// Even with every problem class gone the remaining classes do
 		// not fit, so no quota plan can succeed. Rescheduling the
@@ -1303,9 +1262,6 @@ func (c *Controller) diagnoseMemory(now float64, sched *cluster.Scheduler, r *cl
 				top.params.AcceptableMemory, restAcc, capacity))
 	}
 	plan := SolveQuotas(capacity, need, restAcc)
-	if c.cfg.PreferMigration {
-		plan.Feasible = false
-	}
 	if plan.Feasible {
 		if !c.guardAllows(now, ActionQuota, app, srv.Name(), "") {
 			// Same as the reschedule veto: the problems were consumed
@@ -1426,7 +1382,7 @@ func (c *Controller) diagnoseLocks(now float64, sched *cluster.Scheduler, r *clu
 	overwhelming := worstWait >= 0.5*sched.App().SLA.MaxAvgLatency
 	if !overwhelming {
 		sig := c.sigs.Get(app, r.Server().Name())
-		reports := Detect(current, sig.Metrics, c.cfg.Fences)
+		reports := Detect(current, sig.Metrics, DefaultFences())
 		if rep := reports[worst]; rep == nil || rep.ByMetric[metrics.LockWait] == NotOutlier {
 			return false
 		}
@@ -1462,7 +1418,7 @@ func (c *Controller) confirmProblems(now float64, candidates []metrics.ClassID, 
 		if _, registered := eng.Class(id); !registered {
 			continue
 		}
-		_, params, ok := c.analyzer(eng).RecomputeMRC(id, capacity, c.cfg.MRCThreshold)
+		_, params, ok := c.analyzer(eng).RecomputeMRC(id, capacity, mrc.DefaultThreshold)
 		if !ok {
 			continue
 		}

@@ -92,9 +92,14 @@ func TestNewControllerValidation(t *testing.T) {
 func TestConfigDefaults(t *testing.T) {
 	var cfg Config
 	cfg.fill()
-	if cfg.Interval != 10 || cfg.Fences.Inner != 1.5 || cfg.TopK != 3 ||
-		cfg.CPUSaturation != 0.85 || cfg.FallbackAfter != 4 {
+	if cfg.Interval != 10 || cfg.MRCChangeFactor != 1.6 || cfg.FallbackAfter != 4 ||
+		cfg.SettleIntervals != 2 || cfg.ShrinkAfter != 1 || cfg.MRCSampleCount != MRCSamples {
 		t.Fatalf("defaults wrong: %+v", cfg)
+	}
+	// Off-by-default switches stay off.
+	if cfg.ShrinkBelow != 0 || cfg.MaintainEvery != 0 || cfg.SignatureMaxAge != 0 ||
+		cfg.FrozenMetricsAfter != 0 || cfg.ClockGuard || cfg.CoarseOnly {
+		t.Fatalf("fill turned on an optional behaviour: %+v", cfg)
 	}
 }
 

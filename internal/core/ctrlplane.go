@@ -625,7 +625,7 @@ func (p *pendingAction) applyFn() any { return p.apply() }
 // from diagnosis, exactly like a metric blackout.
 func (cp *ControlPlane) collect(now float64, clockAnomaly bool,
 	snaps map[*engine.Engine]map[string]map[metrics.ClassID]metrics.Vector,
-	cpu, disk map[*server.Server]float64, blackout map[*server.Server]bool) {
+	cpu map[*server.Server]float64, blackout map[*server.Server]bool) {
 	c := cp.ctl
 	for _, srv := range c.mgr.Servers() {
 		if clockAnomaly {
@@ -673,11 +673,9 @@ func (cp *ControlPlane) collect(now float64, clockAnomaly bool,
 			continue
 		}
 		cpu[srv] = rep.cpu
-		disk[srv] = rep.disk
 		if c.cfg.FrozenMetricsAfter > 0 && c.frozenServerSample(srv, rep.cpu, rep.disk) {
 			blackout[srv] = true
 			delete(cpu, srv)
-			delete(disk, srv)
 			if c.observing {
 				c.observer.Event(obs.Event{
 					Time: now, Kind: obs.EventDegradedAnalysis, Server: srv.Name(),

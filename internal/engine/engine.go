@@ -98,13 +98,14 @@ type Config struct {
 	Name string
 	// Pool configures the buffer pool.
 	Pool bufferpool.Config
-	// WindowSize is the per-class recent-page-access window capacity.
-	// Defaults to 65536.
-	WindowSize int
-	// LogBufferSize is the per-thread private logging buffer capacity.
-	// Defaults to 4096.
-	LogBufferSize int
 }
+
+const (
+	// windowSize is the per-class recent-page-access window capacity.
+	windowSize = 65536
+	// logBufferSize is the per-thread private logging buffer capacity.
+	logBufferSize = 4096
+)
 
 // Engine is one simulated database engine. It is not safe for
 // concurrent use.
@@ -186,12 +187,6 @@ func New(cfg Config, host Host) (*Engine, error) {
 	if host == nil {
 		return nil, fmt.Errorf("engine %q: nil host", cfg.Name)
 	}
-	if cfg.WindowSize <= 0 {
-		cfg.WindowSize = 65536
-	}
-	if cfg.LogBufferSize <= 0 {
-		cfg.LogBufferSize = 4096
-	}
 	pool, err := bufferpool.New(cfg.Pool)
 	if err != nil {
 		return nil, fmt.Errorf("engine %q: %w", cfg.Name, err)
@@ -206,7 +201,7 @@ func New(cfg Config, host Host) (*Engine, error) {
 		classes:   make(map[metrics.ClassID]*ClassSpec),
 		latEst:    make(map[metrics.ClassID]float64),
 	}
-	e.logbuf = metrics.NewLogBuffer(cfg.LogBufferSize, metrics.Drain(e.collector))
+	e.logbuf = metrics.NewLogBuffer(logBufferSize, metrics.Drain(e.collector))
 	e.phaseQ = simcore.NewQueue()
 	e.onLockGrant = func() {
 		if e.phSpanLock != nil {
@@ -289,7 +284,7 @@ func (e *Engine) Register(spec ClassSpec) error {
 	spec.slot = e.collector.SlotFor(spec.ID)
 	e.classes[spec.ID] = &spec
 	if _, ok := e.windows[spec.ID]; !ok {
-		e.windows[spec.ID] = metrics.NewAccessWindow(e.cfg.WindowSize)
+		e.windows[spec.ID] = metrics.NewAccessWindow(windowSize)
 	}
 	return nil
 }
@@ -557,9 +552,6 @@ func (e *Engine) WindowTotal(id metrics.ClassID) int64 {
 	}
 	return 0
 }
-
-// WindowCapacity reports the configured per-class window capacity.
-func (e *Engine) WindowCapacity() int { return e.cfg.WindowSize }
 
 // HitRatio reports the buffer-pool hit ratio observed for class id since
 // pool statistics were last reset.

@@ -136,7 +136,7 @@ func (e Env) runChaos(seed uint64, faultAt, clearAt, endAt float64, opts chaosOp
 	if _, err := tb.mgr.ProvisionOnFreeServer(app.Name); err != nil {
 		return nil, fmt.Errorf("provisioning second replica: %w", err)
 	}
-	sched.SetHealthConfig(cluster.DefaultHealthConfig(chaosDeadline))
+	sched.SetQueryDeadline(chaosDeadline)
 	sched.SetClock(func() float64 { return tb.sim.Now().Seconds() })
 	sched.SetObserver(observer)
 	if opts.admission {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"sync"
 	"testing"
 
 	"outlierlb/internal/core"
@@ -13,12 +14,16 @@ import (
 // contract in DESIGN.md. Absolute values differ from the paper because
 // the substrate is a simulator.
 
+// untracedFig3 is the plain fig3 run under seed 1, shared by
+// TestFigure3Shape and TestTracingGoldensUntouched.
+var untracedFig3 = sync.OnceValue(func() *Figure3Result { return Env{}.Figure3(1) })
+
 func TestFigure3Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long scenario")
 	}
 	t.Parallel()
-	r := Env{}.Figure3(1)
+	r := untracedFig3()
 	if len(r.Times) == 0 {
 		t.Fatal("no samples")
 	}

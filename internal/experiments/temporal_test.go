@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"sync"
 	"testing"
 
+	"outlierlb/internal/obs"
 	"outlierlb/internal/wltemporal"
 )
 
@@ -71,6 +73,24 @@ func TestTraceReplayIdentityScenario(t *testing.T) {
 	})
 }
 
+// liveFig3 is a fig3 run with every query traced (the ring fingerprint
+// attaches) and its offered load recorded through Env.OnArrival.
+type liveFig3 struct {
+	result *Figure3Result
+	tracer *obs.Tracer
+	trace  *wltemporal.Trace
+}
+
+func runLiveFig3(seed uint64) liveFig3 {
+	rec := wltemporal.NewRecorder()
+	env := traced(Env{OnArrival: rec.Observe}, 4096)
+	return liveFig3{result: env.Figure3(seed), tracer: env.Tracer, trace: rec.Trace()}
+}
+
+// liveFig3Seed1 is the seed-1 live run, shared by
+// TestFig3RecordReplayIdentity and TestTracingFigure3PhasePartition.
+var liveFig3Seed1 = sync.OnceValue(func() liveFig3 { return runLiveFig3(1) })
+
 // TestFig3RecordReplayIdentity is the acceptance criterion for the
 // trace layer: record a fig3 run's offered load through Env.OnArrival,
 // replay it through Env.Replay into an identically-seeded run, and
@@ -81,11 +101,16 @@ func TestTraceReplayIdentityScenario(t *testing.T) {
 // live run must also match the pinned goldens.
 func TestFig3RecordReplayIdentity(t *testing.T) {
 	forSeeds(t, seedsFor(1), func(t *testing.T, seed uint64) {
-		rec := wltemporal.NewRecorder()
-		liveRes, liveSpans := fingerprint(t, Env{OnArrival: rec.Observe}, Env.Figure3, seed)
+		var run liveFig3
+		if seed == 1 {
+			run = liveFig3Seed1()
+		} else {
+			run = runLiveFig3(seed)
+		}
+		liveRes, liveSpans := mustJSON(t, run.result), mustJSON(t, run.tracer.Recent(0))
 		checkGolden(t, "fig3", seed, liveRes, liveSpans)
 
-		tr := rec.Trace()
+		tr := run.trace
 		if len(tr.Arrivals) == 0 {
 			t.Fatalf("seed=%d: recorded no arrivals", seed)
 		}

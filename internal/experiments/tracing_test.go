@@ -146,15 +146,16 @@ func TestTracingOverloadWellFormed(t *testing.T) {
 
 // TestTracingFigure3PhasePartition is the acceptance check: a
 // fig3-style run at sample rate 1.0, where every trace's queue, service
-// and retry phases must sum to its root duration within 1%.
+// and retry phases must sum to its root duration within 1%. It checks
+// the traces of the live seed-1 run TestFig3RecordReplayIdentity
+// replays.
 func TestTracingFigure3PhasePartition(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure-3 tracing run is slow; run without -short")
 	}
 	t.Parallel()
-	env := traced(Env{}, 1024)
-	env.Figure3(1)
-	traces, stats := env.Tracer.Recent(0), env.Tracer.Stats()
+	tracer := liveFig3Seed1().tracer
+	traces, stats := tracer.Recent(0), tracer.Stats()
 	if stats.Sampled != stats.Started || stats.Started == 0 {
 		t.Fatalf("rate 1.0 sampled %d of %d queries", stats.Sampled, stats.Started)
 	}
@@ -174,23 +175,17 @@ func TestTracingFigure3PhasePartition(t *testing.T) {
 }
 
 // TestTracingGoldensUntouched proves attaching a tracer cannot perturb
-// the simulation: the figure-3 latency series with tracing on must be
-// bit-identical to the untraced run (sampling hashes a private seed,
-// never the simulation RNG).
+// the simulation: the untraced figure-3 result must hash to the pinned
+// fig3/1 result fingerprint, which TestFig3RecordReplayIdentity checks
+// against the fully traced run (sampling hashes a private seed, never
+// the simulation RNG).
 func TestTracingGoldensUntouched(t *testing.T) {
 	if testing.Short() {
-		t.Skip("double figure-3 run is slow; run without -short")
+		t.Skip("figure-3 run is slow; run without -short")
 	}
 	t.Parallel()
-	base := Env{}.Figure3(1)
-	got := traced(Env{}, 64).Figure3(1)
-	if len(base.Latency) != len(got.Latency) {
-		t.Fatalf("series length changed: %d vs %d", len(base.Latency), len(got.Latency))
-	}
-	for i := range base.Latency {
-		if base.Latency[i] != got.Latency[i] || base.Machines[i] != got.Machines[i] {
-			t.Fatalf("t=%g: tracing perturbed the run: latency %v vs %v, machines %v vs %v",
-				base.Times[i], base.Latency[i], got.Latency[i], base.Machines[i], got.Machines[i])
-		}
+	got := sha256Hex(mustJSON(t, untracedFig3()))
+	if want := goldenFingerprints["fig3/1"].result; got != want {
+		t.Fatalf("untraced fig3 seed 1 result hashes to %s, the traced run is pinned at %s: tracing perturbed the run", got, want)
 	}
 }

@@ -62,25 +62,31 @@ type Config struct {
 	// back to defaults (P99 .4, Throughput .25, Shed .2, Met .15) when
 	// ALL fields are zero.
 	Weights Weights
-	// RateLimit caps committed actions of one kind inside RateWindow
-	// ticks; the next is vetoed. Default 3 per 6 ticks.
-	RateLimit  int
-	RateWindow int
-	// CooldownAfterRevert vetoes an action kind for this many ticks
-	// after one of its actions was found harmful. Default 4.
-	CooldownAfterRevert int
-	// OscillationWindow vetoes a second move (reschedule/io-move) of
-	// the same app/class pair — or a re-shed of a class readmitted —
-	// within this many ticks. Default 8.
-	OscillationWindow int
-	// StormTrips suspect actions within StormWindow ticks open the
-	// action-storm circuit. Defaults 3 within 12.
-	StormTrips  int
+	// StormWindow is how many ticks stormTrips suspect actions must fall
+	// within to open the action-storm circuit. Default 12.
 	StormWindow int
-	// SuspendFor is how many ticks the circuit stays open: diagnosis is
-	// suspended after one coarse-fallback mitigation. Default 6.
-	SuspendFor int
 }
+
+// The guardrail constants.
+const (
+	// rateLimit caps committed actions of one kind inside rateWindow
+	// ticks; the next is vetoed.
+	rateLimit  = 3
+	rateWindow = 6
+	// cooldownAfterRevert vetoes an action kind for this many ticks
+	// after one of its actions was found harmful.
+	cooldownAfterRevert = 4
+	// oscillationWindow vetoes a second move (reschedule/io-move) of the
+	// same app/class pair — or a re-shed of a class readmitted — within
+	// this many ticks.
+	oscillationWindow = 8
+	// stormTrips suspect actions within Config.StormWindow ticks open
+	// the action-storm circuit.
+	stormTrips = 3
+	// suspendFor is how many ticks the circuit stays open: diagnosis is
+	// suspended after one coarse-fallback mitigation.
+	suspendFor = 6
+)
 
 func (c *Config) fill() {
 	if c.EvaluateAfter <= 0 {
@@ -95,26 +101,8 @@ func (c *Config) fill() {
 	if c.Weights == (Weights{}) {
 		c.Weights = Weights{P99: 0.4, Throughput: 0.25, Shed: 0.2, Met: 0.15}
 	}
-	if c.RateLimit <= 0 {
-		c.RateLimit = 3
-	}
-	if c.RateWindow <= 0 {
-		c.RateWindow = 6
-	}
-	if c.CooldownAfterRevert <= 0 {
-		c.CooldownAfterRevert = 4
-	}
-	if c.OscillationWindow <= 0 {
-		c.OscillationWindow = 8
-	}
-	if c.StormTrips <= 0 {
-		c.StormTrips = 3
-	}
 	if c.StormWindow <= 0 {
 		c.StormWindow = 12
-	}
-	if c.SuspendFor <= 0 {
-		c.SuspendFor = 6
 	}
 }
 
@@ -373,7 +361,7 @@ func (w *Watchdog) judge(now float64, s *appState, p pendingAction) {
 			score, p.action.Kind, 1+w.cfg.Tolerance),
 	})
 	s.suspectAt = append(s.suspectAt, w.tick)
-	w.cooldown[p.action.Kind] = w.tick + w.cfg.CooldownAfterRevert
+	w.cooldown[p.action.Kind] = w.tick + cooldownAfterRevert
 	if p.undo != nil {
 		if err := p.undo(); err != nil {
 			w.observer.Event(obs.Event{
@@ -422,17 +410,17 @@ func (w *Watchdog) maybeTrip(now float64, app string, s *appState) {
 			recent++
 		}
 	}
-	if recent < w.cfg.StormTrips || w.tick < s.suspendedTo {
+	if recent < stormTrips || w.tick < s.suspendedTo {
 		return
 	}
 	w.trips.Add(1)
-	s.suspendedTo = w.tick + w.cfg.SuspendFor
+	s.suspendedTo = w.tick + suspendFor
 	s.fallbackDue = true
 	w.observer.Event(obs.Event{
 		Time: now, Kind: obs.EventGuardTripped, App: app,
 		Fields: map[string]float64{"suspects_in_window": float64(recent)},
 		Cause: fmt.Sprintf("%d suspect actions within %d intervals; diagnosis suspended for %d intervals",
-			recent, w.cfg.StormWindow, w.cfg.SuspendFor),
+			recent, w.cfg.StormWindow, suspendFor),
 	})
 }
 
@@ -457,23 +445,23 @@ func (w *Watchdog) Allow(now float64, kind core.ActionKind, app, server, class s
 	}
 	recent := 0
 	for _, t := range w.rate[kind] {
-		if w.tick-t < w.cfg.RateWindow {
+		if w.tick-t < rateWindow {
 			recent++
 		}
 	}
-	if recent >= w.cfg.RateLimit {
+	if recent >= rateLimit {
 		return veto("rate-limit", fmt.Sprintf("%d %s actions within %d intervals; limit %d",
-			recent, kind, w.cfg.RateWindow, w.cfg.RateLimit))
+			recent, kind, rateWindow, rateLimit))
 	}
 	if class != "" {
 		key := moveKey(app, class)
 		switch kind {
 		case core.ActionReschedule, core.ActionIOMove:
-			if t, ok := w.moves[key]; ok && w.tick-t < w.cfg.OscillationWindow {
+			if t, ok := w.moves[key]; ok && w.tick-t < oscillationWindow {
 				return veto("oscillation", fmt.Sprintf("class %s already moved %d interval(s) ago", class, w.tick-t))
 			}
 		case core.ActionShedClass:
-			if t, ok := w.readmits[key]; ok && w.tick-t < w.cfg.OscillationWindow {
+			if t, ok := w.readmits[key]; ok && w.tick-t < oscillationWindow {
 				return veto("oscillation", fmt.Sprintf("class %s readmitted %d interval(s) ago", class, w.tick-t))
 			}
 		}
@@ -485,7 +473,7 @@ func (w *Watchdog) Allow(now float64, kind core.ActionKind, app, server, class s
 // pre-action fitness and schedule its judgment.
 func (w *Watchdog) Committed(a core.Action, undo func() error) {
 	w.actions.Add(1)
-	w.rate[a.Kind] = appendTrimmed(w.rate[a.Kind], w.tick, w.cfg.RateWindow)
+	w.rate[a.Kind] = appendTrimmed(w.rate[a.Kind], w.tick, rateWindow)
 	if a.Class != "" {
 		key := moveKey(a.App, a.Class)
 		switch a.Kind {

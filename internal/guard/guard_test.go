@@ -115,9 +115,9 @@ func TestWatchdogShedRateInFitness(t *testing.T) {
 
 func TestWatchdogCooldownAndRateLimit(t *testing.T) {
 	log := obs.NewRecorder(64)
-	w := New(Config{RateLimit: 2, RateWindow: 4, CooldownAfterRevert: 3}, log)
+	w := New(Config{}, log)
 	w.BeginTick(10)
-	for i := 0; i < 2; i++ {
+	for i := 0; i < rateLimit; i++ {
 		if ok, _ := w.Allow(10, core.ActionShedClass, "tpcw", "", "c"); !ok {
 			t.Fatalf("action %d unexpectedly vetoed", i)
 		}
@@ -142,10 +142,21 @@ func TestWatchdogCooldownAndRateLimit(t *testing.T) {
 	if !sawVeto {
 		t.Fatalf("no guard-veto event with rate-limit reason")
 	}
+	// The limit counts only the commits of the last rateWindow ticks.
+	for i := 1; i < rateWindow; i++ {
+		w.BeginTick(10 + float64(10*i))
+	}
+	if ok, _ := w.Allow(70, core.ActionShedClass, "tpcw", "", "c"); ok {
+		t.Fatalf("rate limit lapsed before rateWindow ticks passed")
+	}
+	w.BeginTick(80)
+	if ok, _ := w.Allow(80, core.ActionShedClass, "tpcw", "", "c"); !ok {
+		t.Fatalf("rate limit outlived rateWindow ticks")
+	}
 }
 
 func TestWatchdogOscillationVeto(t *testing.T) {
-	w := New(Config{OscillationWindow: 5}, nil)
+	w := New(Config{}, nil)
 	w.BeginTick(10)
 	w.Committed(core.Action{Kind: core.ActionReschedule, App: "tpcw", Class: "Browse"}, nil)
 	w.BeginTick(20)
@@ -160,12 +171,19 @@ func TestWatchdogOscillationVeto(t *testing.T) {
 	if ok, _ := w.Allow(20, core.ActionShedClass, "tpcw", "", "Order"); ok {
 		t.Fatalf("re-shed of readmitted class allowed")
 	}
+	// Once oscillationWindow ticks separate it from the first move, the
+	// class may move again.
+	for i := 2; i <= oscillationWindow; i++ {
+		w.BeginTick(float64(10 * (i + 1)))
+	}
+	if ok, _ := w.Allow(90, core.ActionReschedule, "tpcw", "", "Browse"); !ok {
+		t.Fatalf("move vetoed %d ticks after the last one", oscillationWindow)
+	}
 }
 
 func TestWatchdogStormCircuit(t *testing.T) {
 	log := obs.NewRecorder(256)
-	w := New(Config{EvaluateAfter: 1, BaselineWindow: 1, Tolerance: 0.1,
-		StormTrips: 2, StormWindow: 20, SuspendFor: 4, CooldownAfterRevert: 1}, log)
+	w := New(Config{EvaluateAfter: 1, BaselineWindow: 1, Tolerance: 0.1}, log)
 	now := 0.0
 	trip := func() {
 		now += 10
@@ -180,13 +198,15 @@ func TestWatchdogStormCircuit(t *testing.T) {
 		w.BeginTick(now)
 		feed(w, now, "tpcw", 0.5, 100, 1000, true, 0)
 	}
-	trip()
-	if w.Posture("tpcw") != core.GuardNormal {
-		t.Fatalf("circuit open after a single trip")
+	for i := 1; i < stormTrips; i++ {
+		trip()
+		if w.Posture("tpcw") != core.GuardNormal {
+			t.Fatalf("circuit open after %d suspect actions", i)
+		}
 	}
 	trip()
-	if st := w.Stats(); st.Trips != 1 {
-		t.Fatalf("stats = %+v, want 1 trip", st)
+	if st := w.Stats(); st.Trips != 1 || st.Suspects != stormTrips {
+		t.Fatalf("stats = %+v, want 1 trip after %d suspects", st, stormTrips)
 	}
 	if w.Posture("tpcw") != core.GuardFallback {
 		t.Fatalf("first posture read after trip not GuardFallback")
@@ -194,10 +214,17 @@ func TestWatchdogStormCircuit(t *testing.T) {
 	if w.Posture("tpcw") != core.GuardSuspend {
 		t.Fatalf("second posture read not GuardSuspend")
 	}
-	for i := 0; i < 5; i++ {
+	// The trip landed one tick before the end of trip(); the circuit
+	// stays open for suspendFor ticks from there.
+	for i := 2; i < suspendFor; i++ {
 		now += 10
 		w.BeginTick(now)
 	}
+	if w.Posture("tpcw") != core.GuardSuspend {
+		t.Fatalf("circuit closed before suspendFor ticks passed")
+	}
+	now += 10
+	w.BeginTick(now)
 	if w.Posture("tpcw") != core.GuardNormal {
 		t.Fatalf("circuit did not close after suspension lapsed")
 	}
@@ -213,7 +240,7 @@ func TestWatchdogStormCircuit(t *testing.T) {
 }
 
 func TestWatchdogUndoFailureStillCoolsDown(t *testing.T) {
-	w := New(Config{EvaluateAfter: 1, BaselineWindow: 1, Tolerance: 0.1, CooldownAfterRevert: 5}, nil)
+	w := New(Config{EvaluateAfter: 1, BaselineWindow: 1, Tolerance: 0.1}, nil)
 	now := 10.0
 	w.BeginTick(now)
 	feed(w, now, "tpcw", 0.5, 100, 1000, true, 0)
@@ -226,8 +253,17 @@ func TestWatchdogUndoFailureStillCoolsDown(t *testing.T) {
 	if st.Suspects != 1 || st.Reverts != 0 {
 		t.Fatalf("stats = %+v, want 1 suspect and 0 reverts", st)
 	}
-	if ok, _ := w.Allow(now, core.ActionShedClass, "tpcw", "", "c"); ok {
-		t.Fatalf("kind not cooled down after failed rollback")
+	// The kind stays cooled down for cooldownAfterRevert ticks after the
+	// verdict, then may act again.
+	for i := 0; i < cooldownAfterRevert; i++ {
+		if ok, _ := w.Allow(now, core.ActionShedClass, "tpcw", "", "c"); ok {
+			t.Fatalf("kind not cooled down %d tick(s) after failed rollback", i)
+		}
+		now += 10
+		w.BeginTick(now)
+	}
+	if ok, _ := w.Allow(now, core.ActionShedClass, "tpcw", "", "c"); !ok {
+		t.Fatalf("cooldown outlived cooldownAfterRevert ticks")
 	}
 }
 

@@ -17,12 +17,7 @@ import (
 // atomic counters: undo closures mutate state owned by the simulation
 // goroutine only.
 func TestWatchdogStatsConcurrentWithRollback(t *testing.T) {
-	w := New(Config{
-		EvaluateAfter: 1, BaselineWindow: 2, Tolerance: 0.1,
-		// Wide rails so every commit below is allowed and judged.
-		RateLimit: 1000, RateWindow: 1, CooldownAfterRevert: 1,
-		OscillationWindow: 1, StormTrips: 1000,
-	}, nil)
+	w := New(Config{EvaluateAfter: 1, BaselineWindow: 2, Tolerance: 0.1}, nil)
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -59,9 +54,10 @@ func TestWatchdogStatsConcurrentWithRollback(t *testing.T) {
 	// Each cycle: a healthy baseline, one committed move, then two
 	// terrible intervals so the judgment (due one tick after commit)
 	// sees a clear regression and rolls the move back while the readers
-	// spin.
+	// spin. The baseline outlasts the oscillation window the rollback
+	// opens, so every cycle's move is allowed.
 	for cycle := 0; cycle < 50; cycle++ {
-		for i := 0; i < 5; i++ {
+		for i := 0; i < oscillationWindow; i++ {
 			tick(0.5, 100, 1000, true)
 		}
 		now += 10
@@ -85,6 +81,9 @@ func TestWatchdogStatsConcurrentWithRollback(t *testing.T) {
 	wg.Wait()
 
 	st := w.Stats()
+	if st.Actions != 50 || st.Vetoes != 0 {
+		t.Fatalf("guardrails vetoed moves the test meant to judge (stats %+v)", st)
+	}
 	if st.Reverts == 0 {
 		t.Fatalf("no rollbacks happened; the race test exercised nothing (stats %+v)", st)
 	}

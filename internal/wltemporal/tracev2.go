@@ -30,7 +30,9 @@ import (
 // never re-derived arithmetic — so a replay schedules them to the last
 // ulp. Framing is strict: readers reject a wrong magic, an unsupported
 // version, truncation anywhere, indexes out of range, non-finite or
-// decreasing times, and any trailing bytes after the last arrival.
+// decreasing times, non-minimal uvarints (so every accepted stream
+// re-encodes to the same bytes), and any trailing bytes after the last
+// arrival.
 
 const (
 	tracePrefix  = "OLBW"
@@ -189,11 +191,26 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 		return nil, fmt.Errorf("wltemporal: unsupported trace version %q (want %q)", head[4], traceVersion)
 	}
 	readUvarint := func(what string) (uint64, error) {
-		v, err := binary.ReadUvarint(br)
-		if err != nil {
-			return 0, fmt.Errorf("wltemporal: truncated trace reading %s: %w", what, err)
+		var v uint64
+		for i := 0; ; i++ {
+			b, err := br.ReadByte()
+			if err == io.EOF && i > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			if err != nil {
+				return 0, fmt.Errorf("wltemporal: truncated trace reading %s: %w", what, err)
+			}
+			if i == binary.MaxVarintLen64-1 && b > 1 {
+				return 0, fmt.Errorf("wltemporal: %s overflows a uvarint", what)
+			}
+			v |= uint64(b&0x7f) << (7 * i)
+			if b < 0x80 {
+				if b == 0 && i > 0 {
+					return 0, fmt.Errorf("wltemporal: non-minimal uvarint encoding of %s", what)
+				}
+				return v, nil
+			}
 		}
-		return v, nil
 	}
 	readString := func(what string) (string, error) {
 		n, err := readUvarint(what + " length")
@@ -250,7 +267,9 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 	if nArrivals > maxArrivals {
 		return nil, fmt.Errorf("wltemporal: implausible arrival count %d", nArrivals)
 	}
-	t.Arrivals = make([]Arrival, 0, nArrivals)
+	// The count is untrusted until the arrivals behind it have been
+	// read: cap the preallocation so a short input cannot claim gigabytes.
+	t.Arrivals = make([]Arrival, 0, min(nArrivals, 1<<16))
 	var tbuf [8]byte
 	prev := math.Inf(-1)
 	for i := uint64(0); i < nArrivals; i++ {

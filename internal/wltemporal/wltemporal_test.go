@@ -27,7 +27,7 @@ var (
 	search = metrics.ClassID{App: "shop", Class: "Search"}
 )
 
-func testSetup(t *testing.T, seed uint64) (*sim.Engine, *cluster.Scheduler) {
+func testSetup(t testing.TB, seed uint64) (*sim.Engine, *cluster.Scheduler) {
 	t.Helper()
 	eng := sim.NewEngine(seed)
 	srv := server.MustNew(server.Config{Name: "s1", Cores: 4, MemoryPages: 10000,
@@ -73,7 +73,7 @@ func testCohorts() []Cohort {
 
 // recordRun drives testCohorts against a fresh testbed for 60s of
 // virtual time and returns the recorded trace plus the driver's counts.
-func recordRun(t *testing.T, seed uint64) (*Trace, int64, int64) {
+func recordRun(t testing.TB, seed uint64) (*Trace, int64, int64) {
 	t.Helper()
 	eng, sched := testSetup(t, seed)
 	rec := NewRecorder()
@@ -152,7 +152,7 @@ func TestDriverDeterminism(t *testing.T) {
 	}
 }
 
-func recordTrace(t *testing.T, seed uint64) *Trace {
+func recordTrace(t testing.TB, seed uint64) *Trace {
 	t.Helper()
 	tr, _, _ := recordRun(t, seed)
 	return tr

@@ -100,16 +100,6 @@ type Config struct {
 	// Load is the target client population over time. Defaults to
 	// Constant(1).
 	Load LoadFunction
-	// AdjustEvery is how often the emulator reconciles the running client
-	// population with Load, in seconds. Defaults to 1.
-	AdjustEvery float64
-	// Transitions, when non-nil, turns the session into a Markov chain:
-	// after completing class X, a client draws its next interaction from
-	// Transitions[X] instead of the global mix (which still seeds each
-	// session's first interaction and covers classes without a row).
-	// Real benchmark clients navigate this way — TPC-W specifies a
-	// transition matrix between web interactions.
-	Transitions map[metrics.ClassID][]MixEntry
 	// OnArrival, when non-nil, is called once per interaction submission
 	// — immediately before the scheduler sees it, with the submission's
 	// virtual time and query class. Shed-and-retried interactions invoke
@@ -119,6 +109,10 @@ type Config struct {
 	// (internal/wltemporal) is the intended consumer.
 	OnArrival func(t float64, class metrics.ClassID)
 }
+
+// adjustEvery is how often the emulator reconciles the running client
+// population with Config.Load, in seconds.
+const adjustEvery = 1
 
 // Emulator runs closed-loop clients against one application's scheduler
 // inside a simulation engine.
@@ -130,8 +124,7 @@ type Emulator struct {
 	total   float64 // sum of positive mix weights
 	target  int
 	running int
-	live    []bool            // live[slot] reports whether a client occupies the slot
-	last    []metrics.ClassID // per-slot previous interaction, for Markov sessions
+	live    []bool // live[slot] reports whether a client occupies the slot
 	stopped bool
 
 	// Interactions counts completed client interactions (the paper's
@@ -161,9 +154,6 @@ func NewEmulator(engine *sim.Engine, sched *cluster.Scheduler, cfg Config) (*Emu
 	}
 	if cfg.ThinkTime <= 0 {
 		cfg.ThinkTime = 1
-	}
-	if cfg.AdjustEvery <= 0 {
-		cfg.AdjustEvery = 1
 	}
 	if cfg.Load == nil {
 		cfg.Load = Constant(1)
@@ -201,7 +191,6 @@ func (e *Emulator) adjust() {
 	e.target = e.cfg.Load(e.sim.Now().Seconds())
 	if e.target > len(e.live) {
 		e.live = append(e.live, make([]bool, e.target-len(e.live))...)
-		e.last = append(e.last, make([]metrics.ClassID, e.target-len(e.last))...)
 	}
 	// Occupy free slots below the target. Clients exit on their own when
 	// their slot number rises above a later, lower target, so slots are
@@ -215,45 +204,25 @@ func (e *Emulator) adjust() {
 		slot := slot
 		// Stagger session starts uniformly over the adjustment window so
 		// a ramp-up does not arrive as a thundering herd.
-		delay := e.rng.Uniform(0, e.cfg.AdjustEvery)
+		delay := e.rng.Uniform(0, adjustEvery)
 		e.sim.ScheduleKind(simcore.KindArrival, delay, func() { e.clientStep(slot) })
 	}
-	e.sim.ScheduleKind(simcore.KindIntervalTick, e.cfg.AdjustEvery, e.adjust)
+	e.sim.ScheduleKind(simcore.KindIntervalTick, adjustEvery, e.adjust)
 }
 
-func drawFrom(rng *sim.RNG, mix []MixEntry) (metrics.ClassID, bool) {
-	total := 0.0
-	for _, entry := range mix {
-		if entry.Weight > 0 {
-			total += entry.Weight
-		}
-	}
-	if total <= 0 {
-		return metrics.ClassID{}, false
-	}
-	r := rng.Float64() * total
-	for _, entry := range mix {
+// pick draws the next interaction class from the mix by weight.
+func (e *Emulator) pick() metrics.ClassID {
+	r := e.rng.Float64() * e.total
+	for _, entry := range e.cfg.Mix {
 		if entry.Weight <= 0 {
 			continue
 		}
 		r -= entry.Weight
 		if r < 0 {
-			return entry.ID, true
+			return entry.ID
 		}
 	}
-	return mix[len(mix)-1].ID, true
-}
-
-func (e *Emulator) pick(slot int) metrics.ClassID {
-	if e.cfg.Transitions != nil && slot < len(e.last) {
-		if row, ok := e.cfg.Transitions[e.last[slot]]; ok {
-			if id, drawn := drawFrom(e.rng, row); drawn {
-				return id
-			}
-		}
-	}
-	id, _ := drawFrom(e.rng, e.cfg.Mix)
-	return id
+	return e.cfg.Mix[len(e.cfg.Mix)-1].ID
 }
 
 func (e *Emulator) think() float64 {
@@ -276,7 +245,7 @@ func (e *Emulator) clientStep(slot int) {
 		return
 	}
 	now := e.sim.Now().Seconds()
-	class := e.pick(slot)
+	class := e.pick()
 	if e.cfg.OnArrival != nil {
 		e.cfg.OnArrival(now, class)
 	}
@@ -287,7 +256,6 @@ func (e *Emulator) clientStep(slot int) {
 			// client failure: the session backs off one think time and
 			// tries again, like a user retrying a busy site.
 			e.shed++
-			e.last[slot] = class
 			e.sim.ScheduleKind(simcore.KindArrival, e.think(), func() { e.clientStep(slot) })
 			return
 		}
@@ -296,7 +264,6 @@ func (e *Emulator) clientStep(slot int) {
 		e.running--
 		return
 	}
-	e.last[slot] = class
 	e.interactions++
 	wait := (done - now) + e.think()
 	e.sim.ScheduleKind(simcore.KindArrival, wait, func() { e.clientStep(slot) })
